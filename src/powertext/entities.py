@@ -12,7 +12,7 @@ recall, never a guess.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -69,15 +69,24 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Normalized surface form -> label lookups for the curated labels."""
+    """Normalized surface form -> label lookups for the curated labels.
+
+    The surfaces are compiled once, at construction, into a word trie:
+    each node maps a word to its child node, and the node that ends a
+    surface also maps ``None`` to that surface's label.
+    """
 
     entries: Mapping[str, EntityLabel]
+    _trie: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def max_words(self) -> int:
-        if not self.entries:
-            return 0
-        return max(surface.count(" ") + 1 for surface in self.entries)
+    def __post_init__(self) -> None:
+        root: dict = {}
+        for surface, label in self.entries.items():
+            node = root
+            for word in surface.split(" "):
+                node = node.setdefault(word, {})
+            node[None] = label
+        object.__setattr__(self, "_trie", root)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +116,18 @@ _MONTHS = {
 _DATE_PHRASES = (("score", "years", "ago"),)
 # Small fixed list of time-of-day expressions.
 _TIME_PHRASES = (("the", "long", "night"), ("midnight",), ("noon",))
+# Time phrases by first word, longest first.
+_TIME_PHRASES_BY_START = {
+    first: [phrase for phrase in sorted(_TIME_PHRASES, key=len, reverse=True) if phrase[0] == first]
+    for first in {phrase[0] for phrase in _TIME_PHRASES}
+}
 
 _YEAR_RANGE = range(1500, 2100)
+
+# Keys that can start a date other than a number token (which covers years).
+_DATE_START_WORDS = (
+    _MONTHS | _RELATIVE_DAYS | _WEEKDAYS | {phrase[0] for phrase in _DATE_PHRASES}
+)
 
 
 def _is_number_word(key: str) -> bool:
@@ -208,27 +227,25 @@ def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
 
 
 class _Tagger:
-    """One tagging run: tokens, normalized keys, and claimed flags."""
+    """One tagging run over a document's tokens and normalized keys.
+
+    ``free[i]`` is true while token i is a word token no pass has claimed;
+    a trailing ``False`` sentinel ends every look-ahead at the last token
+    without a bounds check.
+    """
 
     def __init__(self, doc: Document):
         self.raw = doc.raw
         self.tokens: Sequence[Token] = doc.tokens
-        self.keys = [normalize(tok.text) if tok.is_word else None for tok in doc.tokens]
-        self.claimed = [False] * len(doc.tokens)
+        self.keys = doc.keys
+        self.free = [key is not None for key in self.keys]
+        self.free.append(False)
         self.spans: list[EntitySpan] = []
-
-    def free_word(self, i: int) -> bool:
-        return (
-            0 <= i < len(self.tokens)
-            and self.tokens[i].is_word
-            and not self.claimed[i]
-        )
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
         start = self.tokens[start_tok].start
         end = self.tokens[end_tok - 1].end
-        for idx in range(start_tok, end_tok):
-            self.claimed[idx] = True
+        self.free[start_tok:end_tok] = [False] * (end_tok - start_tok)
         self.spans.append(
             EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
         )
@@ -236,39 +253,39 @@ class _Tagger:
     def phrase_at(self, i: int, words: tuple[str, ...]) -> bool:
         """True when the normalized words appear as consecutive free word
         tokens starting at token i."""
-        for offset, word in enumerate(words):
-            j = i + offset
-            if not self.free_word(j) or self.keys[j] != word:
+        for j, word in enumerate(words, start=i):
+            if not self.free[j] or self.keys[j] != word:
                 return False
         return True
 
+    def number_runs(self) -> list[int]:
+        """``runs[i]``: how many free number tokens follow in a row from
+        token i (0 when token i is not one), computed right to left."""
+        free, keys = self.free, self.keys
+        is_number = {key: _is_number_token(key) for key in set(keys) if key is not None}
+        runs = [0] * len(free)
+        for i in range(len(keys) - 1, -1, -1):
+            if free[i] and is_number[keys[i]]:
+                runs[i] = runs[i + 1] + 1
+        return runs
+
     # -- date pattern helpers ------------------------------------------------
 
-    def _number_run_length(self, i: int) -> int:
-        length = 0
-        while self.free_word(i + length) and _is_number_token(self.keys[i + length]):
-            length += 1
-        return length
-
-    def _match_date_at(self, i: int) -> int:
-        """Token count of the longest date expression starting at i (0 if none)."""
+    def _match_date_at(self, i: int, run: int) -> int:
+        """Token count of the longest date expression starting at i (0 if
+        none); ``run`` is the number-token run length at i."""
         best = 0
-        key = self.keys[i]
+        free, keys = self.free, self.keys
+        key = keys[i]
 
         for phrase in _DATE_PHRASES:
             if self.phrase_at(i, phrase):
                 best = max(best, len(phrase))
 
         # "<number words> years ago|later"
-        run = self._number_run_length(i)
         if run:
             j = i + run
-            if (
-                self.free_word(j)
-                and self.keys[j] == "years"
-                and self.free_word(j + 1)
-                and self.keys[j + 1] in ("ago", "later")
-            ):
+            if free[j] and keys[j] == "years" and free[j + 1] and keys[j + 1] in ("ago", "later"):
                 best = max(best, run + 2)
 
         # Month-name expressions: "January 20, 1961", "January 1961",
@@ -277,21 +294,21 @@ class _Tagger:
         # ordinary words too).
         if key in _MONTHS:
             j = i + 1
-            if self.free_word(j) and _is_day_of_month(self.keys[j]):
+            if free[j] and _is_day_of_month(keys[j]):
                 length = 2
                 k = j + 1
                 if (
                     k < len(self.tokens)
                     and not self.tokens[k].is_word
                     and self.tokens[k].text == ","
-                    and self.free_word(k + 1)
-                    and _is_year(self.keys[k + 1])
+                    and free[k + 1]
+                    and _is_year(keys[k + 1])
                 ):
                     length = (k + 1 - i) + 1  # through the year token
-                elif self.free_word(k) and _is_year(self.keys[k]):
+                elif free[k] and _is_year(keys[k]):
                     length = 3
                 best = max(best, length)
-            elif self.free_word(j) and _is_year(self.keys[j]):
+            elif free[j] and _is_year(keys[j]):
                 best = max(best, 2)
 
         if key in _RELATIVE_DAYS or key in _WEEKDAYS:
@@ -305,10 +322,14 @@ class _Tagger:
     # -- passes ----------------------------------------------------------------
 
     def run_dates(self) -> None:
+        # Claims cover only tokens before the scan position, and a run
+        # looks only ahead, so runs computed up front stay valid.
+        free, keys = self.free, self.keys
+        runs = self.number_runs()
         i = 0
-        while i < len(self.tokens):
-            if self.free_word(i):
-                length = self._match_date_at(i)
+        while i < len(keys):
+            if free[i] and (runs[i] or keys[i] in _DATE_START_WORDS):
+                length = self._match_date_at(i, runs[i])
                 if length:
                     # A date claim may include one comma token inside
                     # (month day, year): claim the token range wholesale.
@@ -318,11 +339,12 @@ class _Tagger:
             i += 1
 
     def run_times(self) -> None:
+        free, keys = self.free, self.keys
         i = 0
-        while i < len(self.tokens):
+        while i < len(keys):
             matched = 0
-            if self.free_word(i):
-                for phrase in sorted(_TIME_PHRASES, key=len, reverse=True):
+            if free[i]:
+                for phrase in _TIME_PHRASES_BY_START.get(keys[i], ()):
                     if self.phrase_at(i, phrase):
                         matched = len(phrase)
                         break
@@ -333,35 +355,37 @@ class _Tagger:
                 i += 1
 
     def run_cardinals(self) -> None:
+        runs = self.number_runs()
         i = 0
-        while i < len(self.tokens):
-            if self.free_word(i) and _is_number_token(self.keys[i]):
-                length = self._number_run_length(i)
+        while i < len(self.keys):
+            if runs[i]:
+                length = runs[i]
                 self.claim(i, i + length, EntityLabel.CARDINAL)
                 i += length
             else:
                 i += 1
 
     def run_gazetteer(self, gazetteer: Gazetteer) -> None:
-        max_words = gazetteer.max_words
-        if max_words == 0:
-            return
+        free, keys, root = self.free, self.keys, gazetteer._trie
         i = 0
-        while i < len(self.tokens):
-            if not self.free_word(i):
+        while i < len(keys):
+            node = root.get(keys[i]) if free[i] else None
+            if node is None:
                 i += 1
                 continue
+            # Longest surface along the trie path from token i.
             matched = 0
             label: EntityLabel | None = None
-            words: list[str] = []
-            j = i
-            while j < len(self.tokens) and self.free_word(j) and len(words) < max_words:
-                words.append(self.keys[j])
-                candidate = " ".join(words)
-                found = gazetteer.entries.get(candidate)
+            j = i + 1
+            while True:
+                found = node.get(None)
                 if found is not None:
-                    matched = len(words)
-                    label = found
+                    matched, label = j - i, found
+                if not free[j]:
+                    break
+                node = node.get(keys[j])
+                if node is None:
+                    break
                 j += 1
             if matched and label is not None:
                 self.claim(i, i + matched, label)

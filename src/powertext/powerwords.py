@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping
 
 from .errors import DataFileError
-from .textcore import Document, Token, normalize
+from .textcore import Document, normalize
 
 __all__ = [
     "PowerCategory",
@@ -67,11 +67,6 @@ class PowerLexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def terms_in(self, category: PowerCategory) -> tuple[str, ...]:
-        return tuple(
-            term for term, cat in self.entries.items() if cat is category
-        )
 
 
 @dataclass(frozen=True)
@@ -227,19 +222,18 @@ class PowerMatcher:
             node.entry = (term, category)
         self._root = root
 
-    def find(self, tokens: list[Token] | tuple[Token, ...]) -> Iterator[PowerMatch]:
-        """Matches over a token sequence, in order, non-overlapping."""
-        n = len(tokens)
+    def find(self, doc: Document) -> Iterator[PowerMatch]:
+        """Matches over the document's tokens, in order, non-overlapping."""
+        tokens = doc.tokens
+        keys = doc.keys
+        n = len(keys)
         i = 0
         while i < n:
-            if not tokens[i].is_word:
-                i += 1
-                continue
             node = self._root
             best: tuple[int, str, PowerCategory] | None = None
             j = i
-            while j < n and tokens[j].is_word:
-                node = node.children.get(normalize(tokens[j].text))
+            while j < n and keys[j] is not None:
+                node = node.children.get(keys[j])
                 if node is None:
                     break
                 if node.entry is not None:
@@ -270,7 +264,7 @@ def scan(doc: Document, matcher: PowerMatcher) -> PowerWordHits:
     A document with no matches yields all-zero counts (never an error).
     """
     counts: dict[PowerCategory, int] = {category: 0 for category in PowerCategory}
-    matches = tuple(matcher.find(doc.tokens))
+    matches = tuple(matcher.find(doc))
     for match in matches:
         counts[match.category] += 1
     return PowerWordHits(counts=counts, matches=matches)

@@ -204,7 +204,7 @@ def analyze_sentiment(doc: Document, lex: SentimentLexicon) -> SentimentScore:
     itself.  Results are clamped to polarity [-1, 1], subjectivity
     [0, 1]; zero matches yield exactly (0.0, 0.0).
     """
-    keys = [normalize(tok.text) for tok in doc.tokens if tok.is_word]
+    keys = [key for key in doc.keys if key is not None]
     contributions: list[float] = []
     subjectivities: list[float] = []
 

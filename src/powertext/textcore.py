@@ -12,12 +12,25 @@ are deliberately small, explicit, and heavily tested:
   short abbreviation guard;
 * syllables come from vowel-group counting with an exceptions table and
   a silent-e rule.
+
+Text work is done once per document and shared: ``Document.keys`` holds
+the normalized matching key of every word token (``None`` for non-word
+tokens), computed on first use with one ``normalize`` call per distinct
+token text, and every lexicon stage reads it.  ``compute_stats`` likewise
+counts letters, syllables and the complex/difficult tests once per
+distinct token text; only the position-dependent part of the complex-word
+rule is applied per occurrence.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -60,23 +73,44 @@ _VOWELS = frozenset("aeiouy")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Token:
     """One token of the original text.
 
     ``text`` is the exact substring ``raw[start:end]``; ``is_word`` marks
     tokens containing at least one letter or digit (punctuation runs are
     kept as non-word tokens so the token stream can reproduce the input).
+
+    A value class: tokens compare and hash by their four fields and must
+    not be modified after construction.  It is slotted (no per-instance
+    dict) because a document holds one per token.
     """
 
-    text: str
-    start: int
-    end: int
-    is_word: bool
+    __slots__ = ("text", "start", "end", "is_word")
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(f"token span must be non-empty: [{self.start}, {self.end})")
+    def __init__(self, text: str, start: int, end: int, is_word: bool) -> None:
+        if end <= start:
+            raise ValueError(f"token span must be non-empty: [{start}, {end})")
+        self.text = text
+        self.start = start
+        self.end = end
+        self.is_word = is_word
+
+    def _key(self) -> tuple[str, int, int, bool]:
+        return (self.text, self.start, self.end, self.is_word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(text={self.text!r}, start={self.start!r}, "
+            f"end={self.end!r}, is_word={self.is_word!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,6 +143,26 @@ class Document:
     @property
     def word_tokens(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if t.is_word)
+
+    @cached_property
+    def keys(self) -> tuple[str | None, ...]:
+        """``normalize(tok.text)`` for each word token, ``None`` for each
+        non-word token, aligned with ``tokens``.
+
+        Computed on first use, once per distinct token text; tokens with
+        equal text share one key string.
+        """
+        memo: dict[str, str] = {}
+        keys: list[str | None] = []
+        for tok in self.tokens:
+            if not tok.is_word:
+                keys.append(None)
+                continue
+            key = memo.get(tok.text)
+            if key is None:
+                key = memo[tok.text] = normalize(tok.text)
+            keys.append(key)
+        return tuple(keys)
 
     def sentence_text(self, index: int) -> str:
         start, end = self.sentences[index]
@@ -214,6 +268,10 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit()
 
 
+# Whitespace-free chunks; ``\S`` is exactly ``not str.isspace()``.
+_CHUNK = re.compile(r"\S+")
+
+
 def tokenize(text: str, *, offset: int = 0) -> list[Token]:
     """Tokens of ``text``, offsets shifted by ``offset``.
 
@@ -224,36 +282,44 @@ def tokenize(text: str, *, offset: int = 0) -> list[Token]:
     whitespace between them reproduces the input exactly.
     """
     tokens: list[Token] = []
-    n = len(text)
+    for match in _CHUNK.finditer(text):
+        chunk = match.group()
+        start = offset + match.start()
+        if chunk.isalpha():
+            tokens.append(Token(chunk, start, start + len(chunk), True))
+        else:
+            _tokenize_chunk(chunk, start, tokens)
+    return tokens
+
+
+def _tokenize_chunk(chunk: str, offset: int, tokens: list[Token]) -> None:
+    """Append the tokens of one whitespace-free chunk.  No token crosses
+    whitespace, so each chunk tokenizes independently of its neighbours."""
+    n = len(chunk)
     i = 0
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_word_char(ch):
+        if _is_word_char(chunk[i]):
             j = i + 1
             while j < n:
-                cj = text[j]
+                cj = chunk[j]
                 if _is_word_char(cj):
                     j += 1
                 elif (
                     (cj in _APOSTROPHES or cj == _HYPHEN)
                     and j + 1 < n
-                    and _is_word_char(text[j + 1])
-                    and _is_word_char(text[j - 1])
+                    and _is_word_char(chunk[j + 1])
+                    and _is_word_char(chunk[j - 1])
                 ):
                     j += 1
                 else:
                     break
-            tokens.append(Token(text[i:j], offset + i, offset + j, True))
+            tokens.append(Token(chunk[i:j], offset + i, offset + j, True))
         else:
             j = i + 1
-            while j < n and not text[j].isspace() and not _is_word_char(text[j]):
+            while j < n and not _is_word_char(chunk[j]):
                 j += 1
-            tokens.append(Token(text[i:j], offset + i, offset + j, False))
+            tokens.append(Token(chunk[i:j], offset + i, offset + j, False))
         i = j
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -351,42 +417,55 @@ def build_document(doc_id: str, text: str) -> Document:
 _COMPLEX_SUFFIXES = ("ing", "es", "ed")
 
 
-def _is_complex(
-    token: Token,
-    syllables: int,
-    is_sentence_initial: bool,
+def _word_type(
+    text: str,
+    familiar_words: frozenset[str],
     exceptions: Mapping[str, int] | None,
-) -> bool:
-    """Gunning-Fog complex word: three or more syllables, excluding
-    mid-sentence capitalized words (likely proper nouns), hyphenated
-    compounds, and words that only reach three syllables through a common
-    suffix (-es, -ed, -ing)."""
-    if syllables < 3:
-        return False
-    if token.text[0].isupper() and not is_sentence_initial:
-        return False
-    if _HYPHEN in token.text:
-        return False
-    lower = normalize(token.text)
-    for suffix in _COMPLEX_SUFFIXES:
-        if lower.endswith(suffix):
-            stem = lower[: -len(suffix)]
-            if any(ch.isalpha() or ch.isdigit() for ch in stem):
-                if count_syllables(stem, exceptions) < 3:
-                    return False
-            break
-    return True
+) -> tuple[int, int, int, bool, bool]:
+    """``(letters, characters, syllables, complex, difficult)`` of one
+    distinct word-token text.
+
+    ``complex`` is the Gunning-Fog test without its position-dependent
+    part: three or more syllables, excluding hyphenated compounds and
+    words that only reach three syllables through a common suffix (-es,
+    -ed, -ing).  ``difficult`` is the Dale-Chall test: neither the
+    lowercased form nor its naive singular (one trailing ``s`` stripped)
+    is on the familiar list.
+    """
+    letters = sum(1 for ch in text if ch.isalpha())
+    characters = sum(1 for ch in text if ch.isalpha() or ch.isdigit())
+    syllables = count_syllables(text, exceptions)
+    lower = normalize(text)
+
+    is_complex = syllables >= 3 and _HYPHEN not in text
+    if is_complex:
+        for suffix in _COMPLEX_SUFFIXES:
+            if lower.endswith(suffix):
+                stem = lower[: -len(suffix)]
+                if any(ch.isalpha() or ch.isdigit() for ch in stem):
+                    is_complex = count_syllables(stem, exceptions) >= 3
+                break
+
+    is_difficult = lower not in familiar_words and not (
+        lower.endswith("s") and lower[:-1] in familiar_words
+    )
+    return letters, characters, syllables, is_complex, is_difficult
 
 
-def _is_difficult(token: Token, familiar_words: frozenset[str]) -> bool:
-    """Dale-Chall difficult word: neither the lowercased form nor its
-    naive singular (one trailing ``s`` stripped) is on the familiar list."""
-    lower = normalize(token.text)
-    if lower in familiar_words:
-        return False
-    if lower.endswith("s") and lower[:-1] in familiar_words:
-        return False
-    return True
+def _sentence_initial_texts(doc: Document) -> Counter[str]:
+    """Occurrence counts of the texts of each sentence's first word token."""
+    tokens = doc.tokens
+    n = len(tokens)
+    counts: Counter[str] = Counter()
+    start_of = attrgetter("start")
+    k = 0
+    for start, end in doc.sentences:
+        k = bisect_left(tokens, start, lo=k, key=start_of)
+        while k < n and tokens[k].start < end and not tokens[k].is_word:
+            k += 1
+        if k < n and tokens[k].start < end:
+            counts[tokens[k].text] += 1
+    return counts
 
 
 def compute_stats(
@@ -398,22 +477,12 @@ def compute_stats(
 
     ``letter_count`` counts alphabetic characters inside word tokens;
     ``char_count`` counts alphanumeric ones.  An empty document yields
-    all-zero stats.
+    all-zero stats.  Each distinct token text is measured once and its
+    figures are multiplied by its occurrence count.
     """
     familiar = familiar_words if isinstance(familiar_words, frozenset) else frozenset(familiar_words)
-
-    # First word token of each sentence is "sentence initial" for the
-    # proper-noun exclusion in the complex-word rule.
-    sentence_initial: set[tuple[int, int]] = set()
-    token_iter = iter(doc.tokens)
-    token = next(token_iter, None)
-    for start, end in doc.sentences:
-        found_word = False
-        while token is not None and token.start < end:
-            if token.start >= start and token.is_word and not found_word:
-                sentence_initial.add((token.start, token.end))
-                found_word = True
-            token = next(token_iter, None)
+    occurrences = Counter(tok.text for tok in doc.tokens if tok.is_word)
+    sentence_initial = _sentence_initial_texts(doc)
 
     word_count = 0
     syllable_count = 0
@@ -423,20 +492,22 @@ def compute_stats(
     complex_word_count = 0
     difficult_word_count = 0
 
-    for tok in doc.tokens:
-        if not tok.is_word:
-            continue
-        word_count += 1
-        letter_count += sum(1 for ch in tok.text if ch.isalpha())
-        char_count += sum(1 for ch in tok.text if ch.isalpha() or ch.isdigit())
-        syllables = count_syllables(tok.text, exceptions)
-        syllable_count += syllables
+    for text, n in occurrences.items():
+        letters, characters, syllables, is_complex, is_difficult = _word_type(
+            text, familiar, exceptions
+        )
+        word_count += n
+        letter_count += n * letters
+        char_count += n * characters
+        syllable_count += n * syllables
         if syllables >= 3:
-            polysyllable_count += 1
-        if _is_complex(tok, syllables, (tok.start, tok.end) in sentence_initial, exceptions):
-            complex_word_count += 1
-        if _is_difficult(tok, familiar):
-            difficult_word_count += 1
+            polysyllable_count += n
+        if is_complex:
+            # A capitalized word is complex only at the start of a
+            # sentence; elsewhere it is likely a proper noun.
+            complex_word_count += sentence_initial[text] if text[0].isupper() else n
+        if is_difficult:
+            difficult_word_count += n
 
     return TextStats(
         word_count=word_count,

@@ -2,6 +2,7 @@
 
 import io
 import re
+import time
 
 import pytest
 
@@ -59,7 +60,6 @@ def test_load_gazetteer_sections_and_normalization():
     assert GAZ.entries["american"] is EntityLabel.NORP
     assert GAZ.entries["new york"] is EntityLabel.GPE
     assert GAZ.entries["the emancipation proclamation"] is EntityLabel.LAW
-    assert GAZ.max_words == 3
 
 
 def test_load_gazetteer_rejects_unknown_section():
@@ -178,6 +178,23 @@ def test_spelled_numbers_and_digit_groups():
 
 def test_score_alone_is_not_a_number():
     assert pairs("The final score was high.") == []
+
+
+# Generous bound for 20,000 number words; a tagger that rescans the rest
+# of the run at every token takes over a minute here.
+MAX_NUMBER_RUN_SECONDS = 5.0
+
+
+def test_long_number_run_tags_as_one_cardinal_in_linear_time():
+    text = "one " * 20000
+    doc = build_document("t", text)
+    started = time.perf_counter()
+    spans = tag_entities(doc, GAZ)
+    elapsed = time.perf_counter() - started
+    assert [(span.start, span.end, span.label) for span in spans] == [
+        (0, len(text) - 1, EntityLabel.CARDINAL)
+    ]
+    assert elapsed < MAX_NUMBER_RUN_SECONDS, f"tagging took {elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------------------

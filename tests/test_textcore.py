@@ -121,6 +121,18 @@ def _reconstruct(text: str, tokens: list[Token]) -> str:
     return "".join(out)
 
 
+def test_token_is_a_value_with_a_checked_span():
+    token = Token("word", 3, 7, True)
+    assert token == Token("word", 3, 7, True)
+    assert token != Token("word", 3, 7, False)
+    assert token != ("word", 3, 7, True)
+    assert hash(token) == hash(Token("word", 3, 7, True))
+    assert len({token, Token("word", 3, 7, True)}) == 1
+    assert repr(token) == "Token(text='word', start=3, end=7, is_word=True)"
+    with pytest.raises(ValueError):
+        Token("", 5, 5, False)
+
+
 def test_tokenize_words_and_punctuation():
     tokens = tokenize("Hello, world!")
     assert [(t.text, t.is_word) for t in tokens] == [
