@@ -76,6 +76,7 @@ from .textcore import (
     Document,
     TextStats,
     Token,
+    WordTable,
     build_document,
     compute_stats,
     count_syllables,
@@ -98,6 +99,7 @@ __all__ = [
     "Token",
     "TextStats",
     "Document",
+    "WordTable",
     "normalize",
     "split_sentences",
     "tokenize",

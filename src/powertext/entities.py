@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .errors import DataFileError
-from .textcore import Document, Token, normalize
+from .textcore import Document, Token, normalize, read_data_lines
 
 __all__ = [
     "EntityLabel",
@@ -147,30 +147,19 @@ def _is_number_token(key: str) -> bool:
     return _is_digit_token(key) or _is_number_word(key)
 
 
+# ``isdecimal``, not ``isdigit``: superscripts such as "²" are digits that
+# ``int`` rejects.
 def _is_year(key: str) -> bool:
-    return len(key) == 4 and key.isdigit() and int(key) in _YEAR_RANGE
+    return len(key) == 4 and key.isdecimal() and int(key) in _YEAR_RANGE
 
 
 def _is_day_of_month(key: str) -> bool:
-    return key.isdigit() and len(key) <= 2 and 1 <= int(key) <= 31
+    return key.isdecimal() and len(key) <= 2 and 1 <= int(key) <= 31
 
 
 # ---------------------------------------------------------------------------
 # Gazetteer loading
 # ---------------------------------------------------------------------------
-
-
-def _read_lines(source: str | Path | IO[str] | IO[bytes]) -> tuple[str, list[str]]:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return str(getattr(source, "name", "<stream>")), data.splitlines()
-    path = Path(source)
-    try:
-        return str(path), path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFileError(f"cannot read file: {exc}", source=str(path)) from exc
 
 
 def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
@@ -181,7 +170,7 @@ def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
     surface form (single- or multi-word).  The same surface under two
     labels is an error.
     """
-    name, lines = _read_lines(source)
+    name, lines = read_data_lines(source)
     valid = {label.value: label for label in _GAZETTEER_LABELS}
     entries: dict[str, EntityLabel] = {}
     current: EntityLabel | None = None

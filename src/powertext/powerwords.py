@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping
 
 from .errors import DataFileError
-from .textcore import Document, normalize
+from .textcore import Document, normalize, read_data_lines
 
 __all__ = [
     "PowerCategory",
@@ -108,19 +108,6 @@ class CategoryDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(source: str | Path | IO[str] | IO[bytes]) -> tuple[str, list[str]]:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return str(getattr(source, "name", "<stream>")), data.splitlines()
-    path = Path(source)
-    try:
-        return str(path), path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFileError(f"cannot read file: {exc}", source=str(path)) from exc
-
-
 def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
     """Parse a ``term,category`` lexicon file.
 
@@ -130,7 +117,7 @@ def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
     deduped silently; the same term under two categories is an error, as
     are unknown category names and an empty result.
     """
-    name, lines = _read_lines(source)
+    name, lines = read_data_lines(source)
     entries: dict[str, PowerCategory] = {}
     first_line: dict[str, int] = {}
     version = "unversioned"

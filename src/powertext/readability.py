@@ -99,6 +99,15 @@ def flesch_kincaid_grade(stats: TextStats) -> float:
     return max(0.0, grade)
 
 
+def _smog(stats: TextStats) -> float:
+    sentences = stats.sentence_count
+    if sentences < SMOG_SENTENCE_MINIMUM:
+        raise InputTextError(
+            f"smog needs at least {SMOG_SENTENCE_MINIMUM} sentences, got {sentences}"
+        )
+    return 1.0430 * math.sqrt(stats.polysyllable_count * (30 / sentences)) + 3.1291
+
+
 def smog_index(stats: TextStats) -> float:
     """Grade estimate from polysyllable density.
 
@@ -106,14 +115,10 @@ def smog_index(stats: TextStats) -> float:
     is too small for the estimate to be trustworthy but it is still
     computed (short promotional texts are a routine input).
     """
-    sentences = stats.sentence_count
-    if sentences < SMOG_SENTENCE_MINIMUM:
-        raise InputTextError(
-            f"smog needs at least {SMOG_SENTENCE_MINIMUM} sentences, got {sentences}"
-        )
-    if sentences < SMOG_RELIABLE_SENTENCES:
+    smog = _smog(stats)
+    if stats.sentence_count < SMOG_RELIABLE_SENTENCES:
         warnings.warn(_SMOG_NOTE, UserWarning, stacklevel=2)
-    return 1.0430 * math.sqrt(stats.polysyllable_count * (30 / sentences)) + 3.1291
+    return smog
 
 
 def gunning_fog(stats: TextStats) -> float:
@@ -228,9 +233,7 @@ def readability_report(stats: TextStats) -> ReadabilityReport:
 
     ease = flesch_reading_ease(stats)
     level = flesch_kincaid_grade(stats)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        smog = smog_index(stats)
+    smog = _smog(stats)
     low_sample = stats.sentence_count < SMOG_RELIABLE_SENTENCES
     fog = gunning_fog(stats)
     coleman = coleman_liau(stats)

@@ -12,7 +12,7 @@ lines, and the annotated text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,6 +42,7 @@ from .sentiment import SentimentLexicon, SentimentScore, analyze_sentiment, load
 from .textcore import (
     Document,
     TextStats,
+    WordTable,
     compute_stats,
     load_familiar_words,
     load_syllable_exceptions,
@@ -104,7 +105,10 @@ class Resources:
     """Loaded data files for the enabled sections.
 
     The familiar-word list and syllable exceptions are always loaded —
-    surface statistics need them regardless of enabled sections.
+    surface statistics need them regardless of enabled sections.  They
+    are built, at construction, into ``word_table``, which remembers the
+    figures of every word text measured since: all documents analysed
+    with these resources share it.
     """
 
     familiar_words: frozenset[str]
@@ -112,6 +116,12 @@ class Resources:
     matcher: PowerMatcher | None = None
     sentiment_lexicon: SentimentLexicon | None = None
     gazetteer: Gazetteer | None = None
+    word_table: WordTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "word_table", WordTable(self.familiar_words, self.syllable_exceptions)
+        )
 
 
 def load_resources(config: AnalysisConfig) -> Resources:
@@ -194,9 +204,7 @@ def analyze(
         resources = load_resources(config)
     warnings: list[str] = list(extra_warnings)
 
-    stats = compute_stats(
-        doc, resources.familiar_words, exceptions=resources.syllable_exceptions
-    )
+    stats = compute_stats(doc, resources.word_table)
 
     readability = None
     if "readability" in config.sections:

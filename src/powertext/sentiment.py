@@ -17,7 +17,7 @@ from statistics import fmean
 from typing import IO, Mapping, NamedTuple
 
 from .errors import DataFileError
-from .textcore import Document, normalize
+from .textcore import Document, normalize, read_data_lines
 
 __all__ = [
     "SentimentEntry",
@@ -65,19 +65,6 @@ class SentimentScore:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(source: str | Path | IO[str] | IO[bytes]) -> tuple[str, list[str]]:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return str(getattr(source, "name", "<stream>")), data.splitlines()
-    path = Path(source)
-    try:
-        return str(path), path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFileError(f"cannot read file: {exc}", source=str(path)) from exc
-
-
 def _single_word(term: str, name: str, lineno: int) -> str:
     key = normalize(term.strip())
     if not key:
@@ -110,7 +97,7 @@ def load_sentiment_lexicon(source: str | Path | IO[str] | IO[bytes]) -> Sentimen
     lines are ignored.  Out-of-range values, malformed lines, and
     duplicate terms with different values are errors naming the line.
     """
-    name, lines = _read_lines(source)
+    name, lines = read_data_lines(source)
     entries: dict[str, SentimentEntry] = {}
     modifiers: dict[str, float] = {}
     negators: set[str] = set()

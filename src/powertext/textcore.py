@@ -13,13 +13,15 @@ are deliberately small, explicit, and heavily tested:
 * syllables come from vowel-group counting with an exceptions table and
   a silent-e rule.
 
-Text work is done once per document and shared: ``Document.keys`` holds
-the normalized matching key of every word token (``None`` for non-word
+Text work is done once and shared.  ``Document.keys`` holds the
+normalized matching key of every word token (``None`` for non-word
 tokens), computed on first use with one ``normalize`` call per distinct
-token text, and every lexicon stage reads it.  ``compute_stats`` likewise
-counts letters, syllables and the complex/difficult tests once per
-distinct token text; only the position-dependent part of the complex-word
-rule is applied per occurrence.
+token text, and every lexicon stage reads it.  A ``WordTable`` measures
+letters, syllables and the complex/difficult tests once per distinct
+word text per run: ``report.Resources`` owns one, so every document
+analysed with the same resources shares it.  Only the position-dependent
+part of the complex-word rule is applied per occurrence, in
+``compute_stats``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import unicodedata
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -40,6 +42,7 @@ __all__ = [
     "Token",
     "TextStats",
     "Document",
+    "WordTable",
     "normalize",
     "split_sentences",
     "tokenize",
@@ -468,19 +471,85 @@ def _sentence_initial_texts(doc: Document) -> Counter[str]:
     return counts
 
 
+# Word texts a ``WordTable`` remembers, least recently used dropped first,
+# and the longest text it remembers.  Measured with tracemalloc on
+# CPython 3.11, an entry costs about 160 bytes (cache link, dict slot,
+# figures tuple) plus its key string: 57 bytes for an 8-letter ASCII
+# word, at most 332 for 64 characters.  A full table of ordinary words
+# is about 3.4 MiB and can never pass about 8 MiB.
+_WORD_TABLE_SIZE = 16384
+_WORD_TABLE_TEXT_MAX = 64
+
+
+class WordTable:
+    """The per-type figures of word-token texts, remembered across
+    documents.
+
+    ``measure(text)`` returns ``(letters, characters, syllables, complex,
+    difficult)`` for one word-token text, as measured against this
+    table's familiar words and syllable exceptions.  The figures depend
+    only on the text and those two resources, so a table may be shared
+    by any number of documents and threads.  It remembers the most
+    recently measured texts, up to a fixed number of entries; texts
+    longer than a fixed length are measured on every call.
+    """
+
+    __slots__ = ("familiar_words", "exceptions", "_cached")
+
+    def __init__(
+        self,
+        familiar_words: frozenset[str] | Iterable[str],
+        exceptions: Mapping[str, int] | None = None,
+    ) -> None:
+        familiar = (
+            familiar_words if isinstance(familiar_words, frozenset) else frozenset(familiar_words)
+        )
+        # A private copy: later edits to the caller's mapping must not
+        # leave remembered figures stale.
+        own_exceptions = dict(exceptions or {})
+        self.familiar_words = familiar
+        self.exceptions = own_exceptions
+
+        @lru_cache(maxsize=_WORD_TABLE_SIZE)
+        def cached(text: str) -> tuple[int, int, int, bool, bool]:
+            return _word_type(text, familiar, own_exceptions)
+
+        self._cached = cached
+
+    def measure(self, text: str) -> tuple[int, int, int, bool, bool]:
+        if len(text) > _WORD_TABLE_TEXT_MAX:
+            return _word_type(text, self.familiar_words, self.exceptions)
+        return self._cached(text)
+
+    def cache_info(self):
+        """Hits, misses, maximum and current size of the remembered texts."""
+        return self._cached.cache_info()
+
+
 def compute_stats(
     doc: Document,
-    familiar_words: frozenset[str] | Iterable[str],
+    familiar_words: WordTable | frozenset[str] | Iterable[str],
     exceptions: Mapping[str, int] | None = None,
 ) -> TextStats:
     """Surface statistics for ``doc``.
 
+    ``familiar_words`` is either a ``WordTable``, which already holds the
+    familiar words and syllable exceptions (``exceptions`` must then be
+    left out), or the familiar words themselves, from which a fresh
+    table is built with ``exceptions``.
+
     ``letter_count`` counts alphabetic characters inside word tokens;
     ``char_count`` counts alphanumeric ones.  An empty document yields
-    all-zero stats.  Each distinct token text is measured once and its
-    figures are multiplied by its occurrence count.
+    all-zero stats.  Each distinct token text is measured once, by the
+    table, and its figures are multiplied by its occurrence count.
     """
-    familiar = familiar_words if isinstance(familiar_words, frozenset) else frozenset(familiar_words)
+    if isinstance(familiar_words, WordTable):
+        if exceptions is not None:
+            raise TypeError("a WordTable already holds its syllable exceptions")
+        table = familiar_words
+    else:
+        table = WordTable(familiar_words, exceptions)
+    measure = table.measure
     occurrences = Counter(tok.text for tok in doc.tokens if tok.is_word)
     sentence_initial = _sentence_initial_texts(doc)
 
@@ -493,9 +562,7 @@ def compute_stats(
     difficult_word_count = 0
 
     for text, n in occurrences.items():
-        letters, characters, syllables, is_complex, is_difficult = _word_type(
-            text, familiar, exceptions
-        )
+        letters, characters, syllables, is_complex, is_difficult = measure(text)
         word_count += n
         letter_count += n * letters
         char_count += n * characters
@@ -526,23 +593,25 @@ def compute_stats(
 # ---------------------------------------------------------------------------
 
 
-def _open_lines(source: str | Path | IO[str]) -> tuple[str, list[str]]:
-    """(display name, lines) for a path or text stream."""
+def read_data_lines(source: str | Path | IO[str] | IO[bytes]) -> tuple[str, list[str]]:
+    """``(display name, lines)`` of a data file given as a path or as a
+    text or UTF-8 byte stream; the reader of every data-file loader."""
     if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        return str(name), source.read().splitlines()
+        data = source.read()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return str(getattr(source, "name", "<stream>")), data.splitlines()
     path = Path(source)
     try:
-        content = path.read_text(encoding="utf-8")
+        return str(path), path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataFileError(f"cannot read file: {exc}", source=str(path)) from exc
-    return str(path), content.splitlines()
 
 
-def load_familiar_words(source: str | Path | IO[str]) -> frozenset[str]:
+def load_familiar_words(source: str | Path | IO[str] | IO[bytes]) -> frozenset[str]:
     """Load a familiar-word list: one lowercase word per line, ``#``
     comments and blank lines ignored."""
-    name, lines = _open_lines(source)
+    name, lines = read_data_lines(source)
     words: set[str] = set()
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -560,10 +629,10 @@ def load_familiar_words(source: str | Path | IO[str]) -> frozenset[str]:
     return frozenset(words)
 
 
-def load_syllable_exceptions(source: str | Path | IO[str]) -> dict[str, int]:
+def load_syllable_exceptions(source: str | Path | IO[str] | IO[bytes]) -> dict[str, int]:
     """Load a syllable-exceptions table: ``word<TAB>count`` per line,
     ``#`` comments and blank lines ignored."""
-    name, lines = _open_lines(source)
+    name, lines = read_data_lines(source)
     table: dict[str, int] = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()

@@ -109,6 +109,15 @@ def test_analyze_structured_is_json(data_dir, sample_file):
     assert payload["power"]["counts"]["Greed"] == 2
 
 
+def test_analyze_superscript_digits_exits_0(data_dir, tmp_path):
+    f = tmp_path / "superscript.txt"
+    f.write_text("May ² came. In 1²34 we.\n", encoding="utf-8")
+    result = run_cli("analyze", f, "--format", "structured", data_dir=data_dir)
+    assert result.returncode == 0, result.stderr
+    labels = [span["label"] for span in json.loads(result.stdout)["entities"]]
+    assert labels == ["CARDINAL", "CARDINAL"]
+
+
 def test_analyze_sections_flag_gates_output(data_dir, sample_file):
     full = run_cli(
         "analyze", sample_file, "--format", "structured", data_dir=data_dir

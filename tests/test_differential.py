@@ -18,6 +18,7 @@ from powertext.textcore import (
     Document,
     TextStats,
     Token,
+    WordTable,
     build_document,
     compute_stats,
     count_syllables,
@@ -231,6 +232,43 @@ def test_per_type_stats_equal_per_occurrence_reference(text):
         assert compute_stats(doc, _FAMILIAR, exceptions) == reference_compute_stats(
             doc, _FAMILIAR, exceptions
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(_texts, max_size=8))
+def test_stats_from_a_table_shared_across_documents_equal_reference(texts):
+    # One table per exceptions setting, reused across every document:
+    # figures remembered from earlier documents must not change the
+    # statistics of later ones.
+    for exceptions in (None, _EXCEPTIONS):
+        table = WordTable(_FAMILIAR, exceptions)
+        for i, text in enumerate(texts):
+            doc = build_document(f"t{i}", text)
+            assert compute_stats(doc, table) == reference_compute_stats(
+                doc, _FAMILIAR, exceptions
+            )
+
+
+def test_word_table_stays_within_its_cap():
+    table = WordTable(_FAMILIAR)
+    cap = table.cache_info().maxsize
+    words = [f"w{i}" for i in range(cap + 100)]
+    doc = build_document("many", " ".join(words))
+    assert compute_stats(doc, table).word_count == cap + 100
+    info = table.cache_info()
+    assert info.misses == cap + 100
+    assert info.currsize == cap
+    # Least recently used texts are dropped first: the last ones remain.
+    assert compute_stats(build_document("last", words[-1]), table).word_count == 1
+    assert table.cache_info().hits == 1
+
+
+def test_word_table_measures_long_texts_without_keeping_them():
+    table = WordTable(_FAMILIAR)
+    long_word = "ab" * 5000
+    doc = build_document("long", f"{long_word} {long_word} short")
+    assert compute_stats(doc, table) == reference_compute_stats(doc, _FAMILIAR, None)
+    assert table.cache_info().currsize == 1  # only "short"
 
 
 @settings(max_examples=300, deadline=None)

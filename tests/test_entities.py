@@ -136,6 +136,13 @@ def test_four_digit_years_are_dates_other_digits_cardinal():
     assert pairs("It costs 3021 coins.") == [("3021", EntityLabel.CARDINAL)]
 
 
+def test_superscript_digits_are_cardinals_not_dates():
+    # "²".isdigit() is true but int("²") raises; the date tests must not
+    # take such a token for a day of the month or a year.
+    assert pairs("May ² came.") == [("²", EntityLabel.CARDINAL)]
+    assert pairs("In 1²34 we.") == [("1²34", EntityLabel.CARDINAL)]
+
+
 def test_weekdays_are_dates():
     assert pairs("See you on Friday then.") == [("Friday", EntityLabel.DATE)]
 

@@ -424,3 +424,18 @@ def test_report_emits_no_warnings():
         warnings.simplefilter("error")
         report = readability_report(stats)
     assert report.smog_low_sample is True
+
+
+def test_report_leaves_warning_filters_alone(monkeypatch):
+    # The warning filters are process-wide and changing them is not
+    # thread-safe, so readability_report must not touch them.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("readability_report changed the warning filters")
+
+    for name in ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"):
+        monkeypatch.setattr(warnings, name, forbidden)
+    stats = make_stats(
+        words=60, sentences=5, syllables=80, letters=250, chars=250,
+        polysyllables=6, complex_words=5, difficult=8,
+    )
+    assert readability_report(stats).smog_low_sample is True

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
-from powertext.corpus import aggregate
+from powertext.corpus import aggregate, load_corpus, load_manifest
+from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
 from powertext.entities import EntityLabel, EntitySpan, load_gazetteer
 from powertext.powerwords import (
     CategoryDistribution,
@@ -532,3 +535,44 @@ def test_corpus_markdown_contains_plot_table():
     assert "## Distribution by genre (plot data)" in text
     assert "| Genre | Category | Percentage |" in text
     assert "| speech | Greed | 70.00 |" in text
+
+
+# ---------------------------------------------------------------------------
+# One Resources shared by several threads
+# ---------------------------------------------------------------------------
+
+
+def test_shared_resources_give_sequential_bytes_under_threads():
+    # One thread per sample document (more threads than cores), a cold
+    # shared word table and a tiny switch interval: every thread renders
+    # the same bytes as a sequential run with resources of its own.
+    config = AnalysisConfig()
+    items = load_corpus(load_manifest(data_path(CORPUS_MANIFEST_FILE)))
+
+    def render(item, resources):
+        report = analyze(
+            item.document, config, resources=resources, extra_warnings=item.warnings
+        )
+        return render_structured(report)
+
+    sequential = [render(item, load_resources(config)) for item in items]
+    shared = load_resources(config)
+    results: list[list[bytes]] = [[] for _ in items]
+
+    def work(index: int) -> None:
+        for _ in range(3):
+            results[index].append(render(items[index], shared))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(items))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    for thread in threads:
+        assert not thread.is_alive()
+    assert results == [[expected] * 3 for expected in sequential]

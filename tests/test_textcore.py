@@ -9,6 +9,7 @@ import pytest
 from powertext.errors import DataFileError, InputTextError
 from powertext.textcore import (
     Token,
+    WordTable,
     build_document,
     compute_stats,
     count_syllables,
@@ -361,6 +362,18 @@ def test_difficult_words_use_naive_singular():
     assert stats.difficult_word_count == 1
 
 
+def test_word_table_holds_its_own_copy_of_the_resources():
+    exceptions = {"business": 2}
+    table = WordTable(["business"], exceptions)
+    doc = build_document("biz", "business business")
+    assert compute_stats(doc, table).syllable_count == 4
+    exceptions["business"] = 5  # the table keeps the figures it was built with
+    assert compute_stats(doc, table).syllable_count == 4
+    assert compute_stats(doc, table).difficult_word_count == 0
+    with pytest.raises(TypeError):
+        compute_stats(doc, table, exceptions)
+
+
 def test_char_count_includes_digits_letter_count_does_not():
     doc = build_document("digits", "route 66")
     stats = compute_stats(doc, frozenset({"route"}))
@@ -378,6 +391,7 @@ def test_load_familiar_words_reads_comments_and_blanks():
     stream = io.StringIO("# comment\n\nable\nabout\n  above  \n")
     words = load_familiar_words(stream)
     assert words == frozenset({"able", "about", "above"})
+    assert load_familiar_words(io.BytesIO(b"able\nabout\n")) == frozenset({"able", "about"})
 
 
 def test_load_familiar_words_rejects_uppercase_and_multiword():
@@ -391,6 +405,7 @@ def test_load_syllable_exceptions_parses_tsv():
     stream = io.StringIO("# word\tcount\nbusiness\t2\nCafe\t2\n")
     table = load_syllable_exceptions(stream)
     assert table == {"business": 2, "cafe": 2}
+    assert load_syllable_exceptions(io.BytesIO("café\t2\n".encode())) == {"café": 2}
 
 
 def test_load_syllable_exceptions_rejects_bad_rows():
