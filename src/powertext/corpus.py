@@ -19,7 +19,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataFileError, InputTextError
 from .powerwords import PowerCategory
-from .textcore import Document, build_document
+from .textcore import Document, build_document, read_data_lines
 
 if TYPE_CHECKING:  # import only for annotations; no runtime dependency
     from .report import AnalysisReport
@@ -191,26 +191,23 @@ class CorpusManifest:
 
 
 def load_manifest(
-    source: str | Path | IO[str], base_dir: str | Path | None = None
+    source: str | Path | IO[str] | IO[bytes], base_dir: str | Path | None = None
 ) -> CorpusManifest:
-    """Parse a ``path,id,genre,kind`` manifest.
+    """Parse a ``path,id,genre,kind`` manifest, given as a path or as a
+    text or UTF-8 byte stream.
 
-    Relative paths resolve against the manifest's own directory (or
-    ``base_dir`` when reading from a stream).  Duplicate ids, unknown
-    genres or kinds, and malformed lines are errors naming the line.
+    Relative paths resolve against ``base_dir`` when given, else the
+    manifest's own directory, or the working directory for a stream.
+    Duplicate ids, unknown genres or kinds, and malformed lines are
+    errors naming the line.
     """
-    if hasattr(source, "read"):
-        name = str(getattr(source, "name", "<stream>"))
-        lines = source.read().splitlines()
-        root = Path(base_dir) if base_dir is not None else Path.cwd()
+    name, lines = read_data_lines(source)
+    if base_dir is not None:
+        root = Path(base_dir)
+    elif hasattr(source, "read"):
+        root = Path.cwd()
     else:
-        path = Path(source)
-        name = str(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise DataFileError(f"cannot read manifest: {exc}", source=name) from exc
-        root = Path(base_dir) if base_dir is not None else path.parent
+        root = Path(source).parent
 
     entries: list[ManifestEntry] = []
     seen_ids: dict[str, int] = {}

@@ -7,6 +7,11 @@ then applies longest-match lookup for curated surface forms (peoples,
 places, organizations, laws, persons, works).  Earlier passes win on
 overlap, and anything not matched is left untagged — precision over
 recall, never a guess.
+
+Fixed phrases (the date and time phrases, the gazetteer surfaces) all
+match through ``textcore.PhraseMatcher``: the tagger's key list holds
+``None`` for every token a pass has claimed, so later passes never
+match across a claim.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .errors import DataFileError
-from .textcore import Document, Token, normalize, read_data_lines
+from .textcore import Document, PhraseMatcher, Token, normalize, read_data_lines
 
 __all__ = [
     "EntityLabel",
@@ -71,22 +76,15 @@ class EntitySpan:
 class Gazetteer:
     """Normalized surface form -> label lookups for the curated labels.
 
-    The surfaces are compiled once, at construction, into a word trie:
-    each node maps a word to its child node, and the node that ends a
-    surface also maps ``None`` to that surface's label.
+    The surfaces are compiled once, at construction, into a
+    ``PhraseMatcher``.
     """
 
     entries: Mapping[str, EntityLabel]
-    _trie: dict = field(init=False, repr=False, compare=False)
+    _matcher: PhraseMatcher = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        root: dict = {}
-        for surface, label in self.entries.items():
-            node = root
-            for word in surface.split(" "):
-                node = node.setdefault(word, {})
-            node[None] = label
-        object.__setattr__(self, "_trie", root)
+        object.__setattr__(self, "_matcher", PhraseMatcher(self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +111,21 @@ _MONTHS = {
 }
 # Phrases tagged DATE verbatim.  "score years ago" keeps the archaic
 # "score" out of the number grammar while still dating the phrase.
-_DATE_PHRASES = (("score", "years", "ago"),)
+_DATE_PHRASE_TEXTS = ("score years ago",)
+_DATE_PHRASES = PhraseMatcher(dict.fromkeys(_DATE_PHRASE_TEXTS, EntityLabel.DATE))
 # Small fixed list of time-of-day expressions.
-_TIME_PHRASES = (("the", "long", "night"), ("midnight",), ("noon",))
-# Time phrases by first word, longest first.
-_TIME_PHRASES_BY_START = {
-    first: [phrase for phrase in sorted(_TIME_PHRASES, key=len, reverse=True) if phrase[0] == first]
-    for first in {phrase[0] for phrase in _TIME_PHRASES}
-}
+_TIME_PHRASES = PhraseMatcher(
+    dict.fromkeys(("the long night", "midnight", "noon"), EntityLabel.TIME)
+)
 
 _YEAR_RANGE = range(1500, 2100)
 
 # Keys that can start a date other than a number token (which covers years).
 _DATE_START_WORDS = (
-    _MONTHS | _RELATIVE_DAYS | _WEEKDAYS | {phrase[0] for phrase in _DATE_PHRASES}
+    _MONTHS
+    | _RELATIVE_DAYS
+    | _WEEKDAYS
+    | {phrase.split(" ")[0] for phrase in _DATE_PHRASE_TEXTS}
 )
 
 
@@ -139,22 +138,18 @@ def _is_number_word(key: str) -> bool:
     return False
 
 
-def _is_digit_token(key: str) -> bool:
-    return key.isdigit()
-
-
 def _is_number_token(key: str) -> bool:
-    return _is_digit_token(key) or _is_number_word(key)
+    return key.isdigit() or _is_number_word(key)
 
 
 # ``isdecimal``, not ``isdigit``: superscripts such as "²" are digits that
-# ``int`` rejects.
-def _is_year(key: str) -> bool:
-    return len(key) == 4 and key.isdecimal() and int(key) in _YEAR_RANGE
+# ``int`` rejects.  A ``None`` key (claimed or non-word) is neither.
+def _is_year(key: str | None) -> bool:
+    return key is not None and len(key) == 4 and key.isdecimal() and int(key) in _YEAR_RANGE
 
 
-def _is_day_of_month(key: str) -> bool:
-    return key.isdecimal() and len(key) <= 2 and 1 <= int(key) <= 31
+def _is_day_of_month(key: str | None) -> bool:
+    return key is not None and key.isdecimal() and len(key) <= 2 and 1 <= int(key) <= 31
 
 
 # ---------------------------------------------------------------------------
@@ -218,43 +213,33 @@ def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
 class _Tagger:
     """One tagging run over a document's tokens and normalized keys.
 
-    ``free[i]`` is true while token i is a word token no pass has claimed;
-    a trailing ``False`` sentinel ends every look-ahead at the last token
-    without a bounds check.
+    ``keys[i]`` is token i's normalized key while it is a word token no
+    pass has claimed, and ``None`` otherwise; a trailing ``None`` sentinel
+    ends every look-ahead at the last token without a bounds check.
     """
 
     def __init__(self, doc: Document):
         self.raw = doc.raw
         self.tokens: Sequence[Token] = doc.tokens
-        self.keys = doc.keys
-        self.free = [key is not None for key in self.keys]
-        self.free.append(False)
+        self.keys: list[str | None] = [*doc.keys, None]
         self.spans: list[EntitySpan] = []
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
         start = self.tokens[start_tok].start
         end = self.tokens[end_tok - 1].end
-        self.free[start_tok:end_tok] = [False] * (end_tok - start_tok)
+        self.keys[start_tok:end_tok] = [None] * (end_tok - start_tok)
         self.spans.append(
             EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
         )
 
-    def phrase_at(self, i: int, words: tuple[str, ...]) -> bool:
-        """True when the normalized words appear as consecutive free word
-        tokens starting at token i."""
-        for j, word in enumerate(words, start=i):
-            if not self.free[j] or self.keys[j] != word:
-                return False
-        return True
-
     def number_runs(self) -> list[int]:
-        """``runs[i]``: how many free number tokens follow in a row from
+        """``runs[i]``: how many unclaimed number tokens follow in a row from
         token i (0 when token i is not one), computed right to left."""
-        free, keys = self.free, self.keys
-        is_number = {key: _is_number_token(key) for key in set(keys) if key is not None}
-        runs = [0] * len(free)
-        for i in range(len(keys) - 1, -1, -1):
-            if free[i] and is_number[keys[i]]:
+        keys = self.keys
+        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
+        runs = [0] * len(keys)
+        for i in range(len(self.tokens) - 1, -1, -1):
+            if keys[i] in numbers:
                 runs[i] = runs[i + 1] + 1
         return runs
 
@@ -263,18 +248,15 @@ class _Tagger:
     def _match_date_at(self, i: int, run: int) -> int:
         """Token count of the longest date expression starting at i (0 if
         none); ``run`` is the number-token run length at i."""
-        best = 0
-        free, keys = self.free, self.keys
+        keys = self.keys
         key = keys[i]
-
-        for phrase in _DATE_PHRASES:
-            if self.phrase_at(i, phrase):
-                best = max(best, len(phrase))
+        phrase = _DATE_PHRASES.longest_at(keys, i)
+        best = phrase[0] - i if phrase is not None else 0
 
         # "<number words> years ago|later"
         if run:
             j = i + run
-            if free[j] and keys[j] == "years" and free[j + 1] and keys[j + 1] in ("ago", "later"):
+            if keys[j] == "years" and keys[j + 1] in ("ago", "later"):
                 best = max(best, run + 2)
 
         # Month-name expressions: "January 20, 1961", "January 1961",
@@ -283,21 +265,19 @@ class _Tagger:
         # ordinary words too).
         if key in _MONTHS:
             j = i + 1
-            if free[j] and _is_day_of_month(keys[j]):
+            if _is_day_of_month(keys[j]):
                 length = 2
                 k = j + 1
                 if (
                     k < len(self.tokens)
-                    and not self.tokens[k].is_word
                     and self.tokens[k].text == ","
-                    and free[k + 1]
                     and _is_year(keys[k + 1])
                 ):
                     length = (k + 1 - i) + 1  # through the year token
-                elif free[k] and _is_year(keys[k]):
+                elif _is_year(keys[k]):
                     length = 3
                 best = max(best, length)
-            elif free[j] and _is_year(keys[j]):
+            elif _is_year(keys[j]):
                 best = max(best, 2)
 
         if key in _RELATIVE_DAYS or key in _WEEKDAYS:
@@ -313,11 +293,11 @@ class _Tagger:
     def run_dates(self) -> None:
         # Claims cover only tokens before the scan position, and a run
         # looks only ahead, so runs computed up front stay valid.
-        free, keys = self.free, self.keys
+        keys = self.keys
         runs = self.number_runs()
         i = 0
-        while i < len(keys):
-            if free[i] and (runs[i] or keys[i] in _DATE_START_WORDS):
+        while i < len(self.tokens):
+            if runs[i] or keys[i] in _DATE_START_WORDS:
                 length = self._match_date_at(i, runs[i])
                 if length:
                     # A date claim may include one comma token inside
@@ -327,58 +307,22 @@ class _Tagger:
                     continue
             i += 1
 
-    def run_times(self) -> None:
-        free, keys = self.free, self.keys
-        i = 0
-        while i < len(keys):
-            matched = 0
-            if free[i]:
-                for phrase in _TIME_PHRASES_BY_START.get(keys[i], ()):
-                    if self.phrase_at(i, phrase):
-                        matched = len(phrase)
-                        break
-            if matched:
-                self.claim(i, i + matched, EntityLabel.TIME)
-                i += matched
-            else:
-                i += 1
+    def run_phrases(self, matcher: PhraseMatcher) -> None:
+        """Claim every leftmost-longest phrase of ``matcher`` among the
+        unclaimed tokens, labelled with the phrase's value."""
+        # ``find`` resumes at each match's stop, so masking the match's
+        # own keys while it runs changes nothing it has yet to read.
+        for start, stop, label in matcher.find(self.keys):
+            self.claim(start, stop, label)
 
     def run_cardinals(self) -> None:
         runs = self.number_runs()
         i = 0
-        while i < len(self.keys):
+        while i < len(self.tokens):
             if runs[i]:
                 length = runs[i]
                 self.claim(i, i + length, EntityLabel.CARDINAL)
                 i += length
-            else:
-                i += 1
-
-    def run_gazetteer(self, gazetteer: Gazetteer) -> None:
-        free, keys, root = self.free, self.keys, gazetteer._trie
-        i = 0
-        while i < len(keys):
-            node = root.get(keys[i]) if free[i] else None
-            if node is None:
-                i += 1
-                continue
-            # Longest surface along the trie path from token i.
-            matched = 0
-            label: EntityLabel | None = None
-            j = i + 1
-            while True:
-                found = node.get(None)
-                if found is not None:
-                    matched, label = j - i, found
-                if not free[j]:
-                    break
-                node = node.get(keys[j])
-                if node is None:
-                    break
-                j += 1
-            if matched and label is not None:
-                self.claim(i, i + matched, label)
-                i += matched
             else:
                 i += 1
 
@@ -391,9 +335,9 @@ def tag_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
     """
     tagger = _Tagger(doc)
     tagger.run_dates()
-    tagger.run_times()
+    tagger.run_phrases(_TIME_PHRASES)
     tagger.run_cardinals()
-    tagger.run_gazetteer(gazetteer)
+    tagger.run_phrases(gazetteer._matcher)
     return sorted(tagger.spans, key=lambda span: span.start)
 
 

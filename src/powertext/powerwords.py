@@ -4,7 +4,8 @@ The lexicon maps normalized terms (single words or phrases up to six
 words) to one of seven fixed categories.  Matching is case-insensitive,
 aligned to word-token boundaries, leftmost-longest, and non-overlapping,
 so a phrase entry like "risk free" counts once rather than once for the
-phrase and once for "free".
+phrase and once for "free".  The matching itself is the shared
+``textcore.PhraseMatcher`` over ``Document.keys``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping
 
 from .errors import DataFileError
-from .textcore import Document, normalize, read_data_lines
+from .textcore import Document, PhraseMatcher, normalize, read_data_lines
 
 __all__ = [
     "PowerCategory",
@@ -181,16 +182,9 @@ def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
 # ---------------------------------------------------------------------------
 
 
-class _TrieNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.entry: tuple[str, PowerCategory] | None = None
-
-
 class PowerMatcher:
-    """Immutable word-level trie over the lexicon's normalized terms.
+    """The lexicon's normalized terms, compiled once into a
+    ``textcore.PhraseMatcher``.
 
     Matches must start and end at word-token boundaries; phrase entries
     match only across consecutive word tokens (any intervening non-word
@@ -201,43 +195,20 @@ class PowerMatcher:
     def __init__(self, lexicon: PowerLexicon):
         if not lexicon.entries:
             raise DataFileError("cannot build a matcher from an empty lexicon")
-        root = _TrieNode()
-        for term, category in lexicon.entries.items():
-            node = root
-            for word in term.split(" "):
-                node = node.children.setdefault(word, _TrieNode())
-            node.entry = (term, category)
-        self._root = root
+        self._phrases = PhraseMatcher(
+            {term: (term, category) for term, category in lexicon.entries.items()}
+        )
 
     def find(self, doc: Document) -> Iterator[PowerMatch]:
         """Matches over the document's tokens, in order, non-overlapping."""
         tokens = doc.tokens
-        keys = doc.keys
-        n = len(keys)
-        i = 0
-        while i < n:
-            node = self._root
-            best: tuple[int, str, PowerCategory] | None = None
-            j = i
-            while j < n and keys[j] is not None:
-                node = node.children.get(keys[j])
-                if node is None:
-                    break
-                if node.entry is not None:
-                    term, category = node.entry
-                    best = (j + 1, term, category)
-                j += 1
-            if best is not None:
-                stop, term, category = best
-                yield PowerMatch(
-                    term=term,
-                    category=category,
-                    start=tokens[i].start,
-                    end=tokens[stop - 1].end,
-                )
-                i = stop
-            else:
-                i += 1
+        for start, stop, (term, category) in self._phrases.find(doc.keys):
+            yield PowerMatch(
+                term=term,
+                category=category,
+                start=tokens[start].start,
+                end=tokens[stop - 1].end,
+            )
 
 
 def build_matcher(lexicon: PowerLexicon) -> PowerMatcher:

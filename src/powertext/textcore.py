@@ -5,8 +5,9 @@ Everything downstream (readability scoring, lexicon matching, sentiment,
 entity tagging) is built on the types in this module, so the rules here
 are deliberately small, explicit, and heavily tested:
 
-* word tokens are maximal runs of letters/digits, with apostrophes and
-  hyphens kept when they sit between two such characters;
+* word tokens are maximal runs of letters/digits and the combining
+  marks that follow them, with apostrophes and hyphens kept when they
+  sit between two such characters;
 * sentence boundaries require a terminator, optional closing quotes or
   brackets, whitespace, and a following capital letter or digit, with a
   short abbreviation guard;
@@ -16,7 +17,9 @@ are deliberately small, explicit, and heavily tested:
 Text work is done once and shared.  ``Document.keys`` holds the
 normalized matching key of every word token (``None`` for non-word
 tokens), computed on first use with one ``normalize`` call per distinct
-token text, and every lexicon stage reads it.  A ``WordTable`` measures
+token text, and every lexicon stage reads it: power words, gazetteer
+surfaces and fixed date/time phrases all match through one
+``PhraseMatcher`` over those keys.  A ``WordTable`` measures
 letters, syllables and the complex/difficult tests once per distinct
 word text per run: ``report.Resources`` owns one, so every document
 analysed with the same resources shares it.  Only the position-dependent
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataFileError, InputTextError
 
@@ -172,6 +175,65 @@ class Document:
         return self.raw[start:end]
 
 
+class PhraseMatcher:
+    """Leftmost-longest matching of word phrases over normalized keys.
+
+    Built from a ``{phrase: value}`` mapping whose phrases are normalized
+    words joined by single spaces, compiled once into a word trie (the
+    word-level keyword trie of Aho & Corasick).  It reads a key sequence
+    such as ``Document.keys``, where a ``None`` key is a barrier no phrase
+    crosses: a non-word token, or a token an earlier pass has claimed.
+    Phrases are a few words long, so restarting at every token is linear
+    and needs no failure links.  Immutable, so safe to share between
+    threads.
+    """
+
+    __slots__ = ("_root",)
+
+    def __init__(self, phrases: Mapping[str, object]) -> None:
+        # Each node maps a word to its child node; the node that ends a
+        # phrase also maps ``None`` to that phrase's value.
+        root: dict = {}
+        for phrase, value in phrases.items():
+            node = root
+            for word in phrase.split(" "):
+                node = node.setdefault(word, {})
+            node[None] = value
+        self._root = root
+
+    def longest_at(self, keys: Sequence[str | None], i: int) -> tuple[int, object] | None:
+        """``(stop, value)`` of the longest phrase that is exactly
+        ``keys[i:stop]``, or ``None`` when no phrase starts at ``i``."""
+        node = self._root
+        best = None
+        for j in range(i, len(keys)):
+            key = keys[j]
+            if key is None:
+                break
+            node = node.get(key)
+            if node is None:
+                break
+            if None in node:
+                best = (j + 1, node[None])
+        return best
+
+    def find(self, keys: Sequence[str | None]) -> Iterator[tuple[int, int, object]]:
+        """``(start, stop, value)`` of each leftmost-longest match, in
+        order and non-overlapping: the scan resumes at each ``stop``."""
+        root = self._root
+        n = len(keys)
+        i = 0
+        while i < n:
+            if keys[i] in root:
+                hit = self.longest_at(keys, i)
+                if hit is not None:
+                    stop, value = hit
+                    yield i, stop, value
+                    i = stop
+                    continue
+            i += 1
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -194,9 +256,10 @@ def normalize(text: str) -> str:
 
 def _preceding_word(text: str, pos: int) -> str:
     """The letter/dot run ending just before ``pos`` (for the abbreviation
-    guard); dots are kept so compound abbreviations like ``e.g`` survive."""
+    guard); dots are kept so compound abbreviations like ``e.g`` survive,
+    and combining marks so the NFD form of a word stays whole."""
     i = pos
-    while i > 0 and (text[i - 1].isalpha() or text[i - 1] == "."):
+    while i > 0 and (text[i - 1].isalpha() or text[i - 1] == "." or _is_mark(text[i - 1])):
         i -= 1
     return text[i:pos].strip(".")
 
@@ -271,6 +334,12 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit()
 
 
+def _is_mark(ch: str) -> bool:
+    """A combining mark (category M*): part of the word it follows, so
+    NFC and NFD forms of a text tokenize alike."""
+    return unicodedata.category(ch)[0] == "M"
+
+
 # Whitespace-free chunks; ``\S`` is exactly ``not str.isspace()``.
 _CHUNK = re.compile(r"\S+")
 
@@ -278,11 +347,12 @@ _CHUNK = re.compile(r"\S+")
 def tokenize(text: str, *, offset: int = 0) -> list[Token]:
     """Tokens of ``text``, offsets shifted by ``offset``.
 
-    Word tokens are maximal runs of letters/digits where an apostrophe or
-    hyphen flanked by such characters joins the run (``don't``,
-    ``self-evident``).  Between words, any run of non-whitespace
-    characters becomes one non-word token.  Joining token texts with the
-    whitespace between them reproduces the input exactly.
+    Word tokens are maximal runs of letters/digits and the combining
+    marks that follow them, where an apostrophe or hyphen between two
+    such runs joins them (``don't``, ``self-evident``).  Between words,
+    any run of non-whitespace characters becomes one non-word token.
+    Joining token texts with the whitespace between them reproduces the
+    input exactly.
     """
     tokens: list[Token] = []
     for match in _CHUNK.finditer(text):
@@ -305,13 +375,14 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: list[Token]) -> None:
             j = i + 1
             while j < n:
                 cj = chunk[j]
-                if _is_word_char(cj):
+                if _is_word_char(cj) or _is_mark(cj):
                     j += 1
                 elif (
+                    # chunk[j - 1] belongs to the run, so only the right
+                    # flank needs a test.
                     (cj in _APOSTROPHES or cj == _HYPHEN)
                     and j + 1 < n
                     and _is_word_char(chunk[j + 1])
-                    and _is_word_char(chunk[j - 1])
                 ):
                     j += 1
                 else:

@@ -3,6 +3,7 @@ and genre-level aggregation."""
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -232,8 +233,20 @@ def test_manifest_empty_is_error(tmp_path):
 
 
 def test_manifest_missing_file_is_error(tmp_path):
-    with pytest.raises(DataFileError):
-        load_manifest(tmp_path / "nope.csv")
+    missing = tmp_path / "nope.csv"
+    with pytest.raises(DataFileError, match="cannot read file") as err:
+        load_manifest(missing)
+    assert err.value.source == str(missing)
+
+
+def test_manifest_from_utf8_byte_stream(tmp_path):
+    stream = io.BytesIO("a.txt,café,fiction,plain\nbroken line\n".encode("utf-8"))
+    with pytest.raises(DataFileError, match=":2:"):
+        load_manifest(stream, base_dir=tmp_path)
+    stream = io.BytesIO("a.txt,café,fiction,plain\n".encode("utf-8"))
+    manifest = load_manifest(stream, base_dir=tmp_path)
+    assert manifest.entries[0].doc_id == "café"
+    assert manifest.entries[0].path == tmp_path / "a.txt"
 
 
 def test_manifest_error_names_line_number(tmp_path):

@@ -1,14 +1,17 @@
 """Differential property tests: the document core against per-occurrence
 reference implementations.
 
-``reference_tokenize`` and ``reference_compute_stats`` are verbatim copies
-of the character-by-character tokenizer and the per-occurrence statistics
-that ``tokenize`` and the per-type ``compute_stats`` replaced.  Both must
-agree with them on every input.
+``reference_tokenize`` and ``reference_compute_stats`` are copies of the
+character-by-character tokenizer and the per-occurrence statistics that
+``tokenize`` and the per-type ``compute_stats`` replaced; the tokenizer
+copy has since gained the combining-mark rule (a mark that follows a word
+character extends the word).  Both must agree with them on every input.
 """
 
 from __future__ import annotations
 
+import string
+import unicodedata
 from typing import Iterable, Mapping
 
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from powertext.textcore import (
 )
 
 # ---------------------------------------------------------------------------
-# Reference tokenizer (verbatim copy of the per-character version)
+# Reference tokenizer (the per-character version, plus combining marks)
 # ---------------------------------------------------------------------------
 
 _APOSTROPHES = "'’"
@@ -36,6 +39,10 @@ _HYPHEN = "-"
 
 def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdigit()
+
+
+def _is_mark(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("M")
 
 
 def reference_tokenize(text: str, *, offset: int = 0) -> list[Token]:
@@ -51,13 +58,13 @@ def reference_tokenize(text: str, *, offset: int = 0) -> list[Token]:
             j = i + 1
             while j < n:
                 cj = text[j]
-                if _is_word_char(cj):
+                if _is_word_char(cj) or _is_mark(cj):
                     j += 1
                 elif (
                     (cj in _APOSTROPHES or cj == _HYPHEN)
                     and j + 1 < n
                     and _is_word_char(text[j + 1])
-                    and _is_word_char(text[j - 1])
+                    and (_is_word_char(text[j - 1]) or _is_mark(text[j - 1]))
                 ):
                     j += 1
                 else:
@@ -269,6 +276,32 @@ def test_word_table_measures_long_texts_without_keeping_them():
     doc = build_document("long", f"{long_word} {long_word} short")
     assert compute_stats(doc, table) == reference_compute_stats(doc, _FAMILIAR, None)
     assert table.cache_info().currsize == 1  # only "short"
+
+
+# Precomposed Latin-1 letters (À-ÿ), most of which decompose under NFD.
+# Hangul is left out: its composition changes letter counts.
+_COMPOSED = "".join(ch for ch in map(chr, range(0xC0, 0x100)) if ch.isalpha())
+_NFD_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " " + _COMPOSED
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=_NFD_ALPHABET, max_size=80))
+def test_stats_are_equal_for_nfc_and_nfd_forms(text):
+    nfc = build_document("c", unicodedata.normalize("NFC", text))
+    nfd = build_document("d", unicodedata.normalize("NFD", text))
+    for exceptions in (None, _EXCEPTIONS):
+        assert compute_stats(nfc, _FAMILIAR, exceptions) == compute_stats(
+            nfd, _FAMILIAR, exceptions
+        )
+
+
+def test_nfd_accents_stay_inside_their_words():
+    text = "Café naïve résumé."
+    for form in ("NFC", "NFD"):
+        doc = build_document("t", unicodedata.normalize(form, text))
+        assert [tok.is_word for tok in doc.tokens] == [True, True, True, False]
+    # A mark with nothing to attach to stays a non-word token.
+    assert [tok.is_word for tok in tokenize("\u0301a \u0301")] == [False, True, False]
 
 
 @settings(max_examples=300, deadline=None)

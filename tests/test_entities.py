@@ -243,6 +243,14 @@ def test_patterns_win_over_gazetteer():
     assert pairs("We begin today.", gaz) == [("today", EntityLabel.DATE)]
 
 
+def test_earlier_claim_cuts_a_gazetteer_surface():
+    gaz = load_gazetteer(io.StringIO("[WORK_OF_ART]\nclass of 1961\n[ORG]\nclass\n"))
+    assert pairs("The Class of 1961 met.", gaz) == [
+        ("Class", EntityLabel.ORG),
+        ("1961", EntityLabel.DATE),
+    ]
+
+
 def test_unknown_capitalized_words_stay_untagged():
     assert pairs("Brasilia is far away.", EMPTY_GAZ) == []
     assert pairs("Senator Smithers spoke.", GAZ) == []

@@ -4,6 +4,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertext.errors import DataFileError
 from powertext.powerwords import (
@@ -16,7 +18,7 @@ from powertext.powerwords import (
     load_lexicon,
     scan,
 )
-from powertext.textcore import build_document, normalize
+from powertext.textcore import PhraseMatcher, build_document, normalize
 
 
 def lexicon_from(text: str) -> PowerLexicon:
@@ -221,33 +223,42 @@ _PUNCT_POOL = [",", ".", "!", ";", "--"]
 _CASINGS = [str.lower, str.upper, str.title]
 
 
-def naive_scan(doc, entries, max_words=6):
-    """Brute-force leftmost-longest token-aligned scan."""
-    tokens = list(doc.tokens)
-    n = len(tokens)
+def naive_longest_at(keys, phrases, i, max_words=6):
+    """Brute-force longest phrase at key i: every window, longest first;
+    a ``None`` key is a barrier no window may contain."""
+    for length in range(max_words, 0, -1):
+        window = keys[i : i + length]
+        if len(window) == length and None not in window:
+            phrase = " ".join(window)
+            if phrase in phrases:
+                return (i + length, phrases[phrase])
+    return None
+
+
+def naive_find(keys, phrases, max_words=6):
+    """Brute-force leftmost-longest, non-overlapping scan of a key sequence."""
     found = []
     i = 0
-    while i < n:
-        if not tokens[i].is_word:
-            i += 1
-            continue
-        hit = None
-        for length in range(max_words, 0, -1):
-            if i + length > n:
-                continue
-            window = tokens[i : i + length]
-            if not all(t.is_word for t in window):
-                continue
-            key = " ".join(normalize(t.text) for t in window)
-            if key in entries:
-                hit = (key, entries[key], window[0].start, window[-1].end)
-                break
+    while i < len(keys):
+        hit = naive_longest_at(keys, phrases, i, max_words)
         if hit is not None:
-            found.append(hit)
-            i += len(hit[0].split(" "))
+            found.append((i, *hit))
+            i = hit[0]
         else:
             i += 1
     return found
+
+
+def naive_scan(doc, entries, max_words=6):
+    """Brute-force leftmost-longest token-aligned scan of a document."""
+    tokens = doc.tokens
+    keys = [normalize(t.text) if t.is_word else None for t in tokens]
+    return [
+        (term, category, tokens[start].start, tokens[stop - 1].end)
+        for start, stop, (term, category) in naive_find(
+            keys, {term: (term, category) for term, category in entries.items()}, max_words
+        )
+    ]
 
 
 def random_case(rng, word):
@@ -287,6 +298,29 @@ def test_matcher_equals_naive_oracle_on_random_inputs():
             assert hits.counts[category] == sum(
                 1 for m in hits.matches if m.category is category
             )
+
+
+# Three words make phrases that share prefixes, and runs that match them,
+# common; ``None`` is a barrier key.
+_KEY_POOL = ["a", "b", "c"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    phrases=st.dictionaries(
+        st.lists(st.sampled_from(_KEY_POOL), min_size=1, max_size=4).map(" ".join),
+        st.integers(0, 9),
+        min_size=1,
+        max_size=12,
+    ),
+    keys=st.lists(st.sampled_from([*_KEY_POOL, None]), max_size=40),
+)
+def test_phrase_matcher_equals_brute_force_oracle(phrases, keys):
+    matcher = PhraseMatcher(phrases)
+    assert list(matcher.find(keys)) == naive_find(keys, phrases, max_words=4)
+    assert list(matcher.find(tuple(keys))) == naive_find(keys, phrases, max_words=4)
+    for i in range(len(keys)):
+        assert matcher.longest_at(keys, i) == naive_longest_at(keys, phrases, i, max_words=4)
 
 
 def test_scan_counts_survive_uppercasing():
