@@ -51,7 +51,6 @@ def main() -> None:
             lexicon_path=lexicon_path,
             sentiment_path=sentiment_path,
             sections=frozenset({"power", "sentiment", "entities"}),
-            output_format="structured",
         )
         doc = build_document("launch-note", TEXT)
         report = analyze(doc, config)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .corpus import aggregate, load_corpus, load_manifest
+from .corpus import GenreAggregate, aggregate, load_corpus, load_manifest
 from .defaults import (
     ENV_DATA_DIR,
     FAMILIAR_WORDS_FILE,
@@ -50,16 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sections_arg(value: str) -> frozenset[str]:
-    names = [part.strip() for part in value.split(",") if part.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("at least one section is required")
-    unknown = [name for name in names if name not in ALL_SECTIONS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown section(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(ALL_SECTIONS)}"
-        )
-    return frozenset(names)
+    """The names in a comma-separated list; AnalysisConfig checks them."""
+    return frozenset(part.strip() for part in value.split(",") if part.strip())
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -152,32 +144,39 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
         familiar_path=args.familiar,
         gazetteer_path=args.gazetteer,
         sections=args.sections,
-        output_format=args.format,
     )
 
 
-def _emit_report(report: AnalysisReport, output_format: str) -> None:
+def _render(
+    payload: AnalysisReport | list[GenreAggregate], output_format: str
+) -> tuple[str, bytes]:
+    """The file extension and the UTF-8 bytes of one report or of the
+    genre aggregates, in the ``--format`` the user chose."""
     if output_format == "structured":
-        sys.stdout.buffer.write(render_structured(report))
-        sys.stdout.buffer.flush()
-    else:
-        sys.stdout.write(render_markdown(report))
+        return "json", render_structured(payload)
+    if isinstance(payload, AnalysisReport):
+        return "md", render_markdown(payload).encode("utf-8")
+    return "md", render_corpus_markdown(payload).encode("utf-8")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+def _write_stdout(data: bytes) -> None:
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
+
+
+def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
     try:
         text = args.file.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputTextError(f"cannot read input file: {exc}") from exc
     doc = build_document(args.file.stem, text)
-    report = analyze(doc, config)
-    _emit_report(report, config.output_format)
+    _extension, data = _render(analyze(doc, config), args.format)
+    _write_stdout(data)
     return 0
 
 
-def _cmd_corpus(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
     manifest = load_manifest(args.manifest)
     resources = load_resources(config)
     corpus_docs = load_corpus(manifest)
@@ -195,28 +194,16 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     ]
     aggregates = aggregate(reports)
 
-    if args.out is not None:
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        extension = "json" if config.output_format == "structured" else "md"
-        for report, _genre in reports:
-            target = out_dir / f"{report.doc_id}.{extension}"
-            if config.output_format == "structured":
-                target.write_bytes(render_structured(report))
-            else:
-                target.write_text(render_markdown(report), encoding="utf-8")
-        summary = out_dir / f"corpus.{extension}"
-        if config.output_format == "structured":
-            summary.write_bytes(render_structured(aggregates))
-        else:
-            summary.write_text(render_corpus_markdown(aggregates), encoding="utf-8")
+    if args.out is None:
+        _extension, data = _render(aggregates, args.format)
+        _write_stdout(data)
         return 0
-
-    if config.output_format == "structured":
-        sys.stdout.buffer.write(render_structured(aggregates))
-        sys.stdout.buffer.flush()
-    else:
-        sys.stdout.write(render_corpus_markdown(aggregates))
+    args.out.mkdir(parents=True, exist_ok=True)
+    for report, _genre in reports:
+        extension, data = _render(report, args.format)
+        (args.out / f"{report.doc_id}.{extension}").write_bytes(data)
+    extension, data = _render(aggregates, args.format)
+    (args.out / f"corpus.{extension}").write_bytes(data)
     return 0
 
 
@@ -224,7 +211,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _config_from(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, config)
     except DataFileError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
 from statistics import fmean
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DataFileError, InputTextError
-from .powerwords import PowerCategory
+from .powerwords import CategoryDistribution, PowerCategory
+from .readability import READABILITY_INDICES
 from .textcore import Document, build_document, read_data_lines
 
 if TYPE_CHECKING:  # import only for annotations; no runtime dependency
@@ -337,7 +338,10 @@ class GenreAggregate:
     mean_subjectivity: float | None
 
 
-def _mean_or_none(values: list[float | None], what: str, genre: str) -> float | None:
+def _mean_or_none(
+    values: list, what: str, genre: str, mean: Callable[[list], Any] = fmean
+) -> Any:
+    """``mean`` of ``values`` when every one is present, None when none is."""
     present = [value for value in values if value is not None]
     if not present:
         return None
@@ -346,7 +350,16 @@ def _mean_or_none(values: list[float | None], what: str, genre: str) -> float | 
             f"cannot aggregate {what} for genre {genre!r}: "
             "present for some documents but not others"
         )
-    return fmean(present)
+    return mean(present)
+
+
+def _mean_distribution(
+    distributions: list[CategoryDistribution],
+) -> dict[PowerCategory, float]:
+    return {
+        category: fmean(d.percentages[category] for d in distributions)
+        for category in PowerCategory
+    }
 
 
 def aggregate(
@@ -371,62 +384,34 @@ def aggregate(
         group = by_genre.get(genre)
         if not group:
             continue
-
-        def reading(attr: str) -> list[float | None]:
-            return [
-                getattr(r.readability, attr) if r.readability is not None else None
-                for r in group
-            ]
-
-        distributions = [r.power_distribution for r in group]
-        if all(d is None for d in distributions):
-            mean_distribution = None
-        elif any(d is None for d in distributions):
-            raise InputTextError(
-                f"cannot aggregate power distribution for genre {genre!r}: "
-                "present for some documents but not others"
+        readings = [r.readability for r in group]
+        scores = [r.sentiment for r in group]
+        reading_means = {
+            f"mean_{attr}": _mean_or_none(
+                [None if x is None else getattr(x, attr) for x in readings],
+                label.lower(),
+                genre,
             )
-        else:
-            mean_distribution = {
-                category: fmean(d.percentages[category] for d in distributions)
-                for category in PowerCategory
-            }
-
+            for attr, _key, label, _grade in READABILITY_INDICES
+        }
         aggregates.append(
             GenreAggregate(
                 genre=genre,
                 document_count=len(group),
-                mean_flesch_reading_ease=_mean_or_none(
-                    reading("flesch_reading_ease"), "reading ease", genre
+                **reading_means,
+                mean_distribution=_mean_or_none(
+                    [r.power_distribution for r in group],
+                    "power distribution",
+                    genre,
+                    mean=_mean_distribution,
                 ),
-                mean_flesch_kincaid_grade=_mean_or_none(
-                    reading("flesch_kincaid_grade"), "reading level", genre
-                ),
-                mean_smog_index=_mean_or_none(reading("smog_index"), "smog", genre),
-                mean_gunning_fog=_mean_or_none(
-                    reading("gunning_fog"), "gunning fog", genre
-                ),
-                mean_coleman_liau=_mean_or_none(
-                    reading("coleman_liau"), "coleman-liau", genre
-                ),
-                mean_ari=_mean_or_none(reading("ari"), "ari", genre),
-                mean_dale_chall=_mean_or_none(
-                    reading("dale_chall"), "dale-chall", genre
-                ),
-                mean_distribution=mean_distribution,
                 mean_polarity=_mean_or_none(
-                    [
-                        r.sentiment.polarity if r.sentiment is not None else None
-                        for r in group
-                    ],
+                    [None if x is None else x.polarity for x in scores],
                     "polarity",
                     genre,
                 ),
                 mean_subjectivity=_mean_or_none(
-                    [
-                        r.sentiment.subjectivity if r.sentiment is not None else None
-                        for r in group
-                    ],
+                    [None if x is None else x.subjectivity for x in scores],
                     "subjectivity",
                     genre,
                 ),

@@ -22,7 +22,14 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .errors import DataFileError
-from .textcore import Document, PhraseMatcher, Token, normalize, read_data_lines
+from .textcore import (
+    Document,
+    PhraseMatcher,
+    Token,
+    normalize,
+    read_data_lines,
+    tokenizes_as_words,
+)
 
 __all__ = [
     "EntityLabel",
@@ -192,6 +199,12 @@ def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
         surface = " ".join(normalize(line).split())
         if not surface:
             raise DataFileError("empty surface form", source=name, line=lineno)
+        if not tokenizes_as_words(surface):
+            raise DataFileError(
+                f"surface {surface!r} can never match: each word must tokenize as one word",
+                source=name,
+                line=lineno,
+            )
         existing = entries.get(surface)
         if existing is not None and existing is not current:
             raise DataFileError(

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping
 
 from .errors import DataFileError
-from .textcore import Document, PhraseMatcher, normalize, read_data_lines
+from .textcore import Document, PhraseMatcher, normalize, read_data_lines, tokenizes_as_words
 
 __all__ = [
     "PowerCategory",
@@ -157,6 +157,12 @@ def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
         if len(term.split(" ")) > MAX_PHRASE_WORDS:
             raise DataFileError(
                 f"term longer than {MAX_PHRASE_WORDS} words: {term!r}",
+                source=name,
+                line=lineno,
+            )
+        if not tokenizes_as_words(term):
+            raise DataFileError(
+                f"term {term!r} can never match: each word must tokenize as one word",
                 source=name,
                 line=lineno,
             )

@@ -32,6 +32,7 @@ __all__ = [
     "dale_chall_grade_band",
     "text_standard",
     "readability_report",
+    "READABILITY_INDICES",
     "SMOG_SENTENCE_MINIMUM",
     "SMOG_RELIABLE_SENTENCES",
 ]
@@ -221,6 +222,20 @@ class ReadabilityReport:
     dale_chall: float
     text_standard: str
     smog_low_sample: bool = False
+
+
+# The seven indices in report order: the ReadabilityReport attribute (a
+# genre aggregate holds its mean as ``mean_<attribute>``), the structured
+# key, the markdown label, and whether markdown shows the score as a grade.
+READABILITY_INDICES = (
+    ("flesch_reading_ease", "reading_ease", "Reading ease", False),
+    ("flesch_kincaid_grade", "reading_level", "Reading level", True),
+    ("smog_index", "smog_index", "Smog index", True),
+    ("gunning_fog", "gunning_fog", "Gunning Fog index", True),
+    ("coleman_liau", "coleman_liau", "Coleman-Liau index", True),
+    ("ari", "automated_readability_index", "Automated Readability index", True),
+    ("dale_chall", "dale_chall", "Dale-Chall Readability score", False),
+)
 
 
 def readability_report(stats: TextStats) -> ReadabilityReport:

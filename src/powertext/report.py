@@ -1,12 +1,15 @@
 """Composed analysis reports and their renderers.
 
 ``analyze`` runs the enabled analysis sections over one document in a
-fixed order (stats, readability, power words, sentiment, entities) and
-collects any warnings.  ``render_structured`` emits deterministic JSON
-(stable key order, two-decimal rounding, UTF-8, byte-identical for
-identical inputs); ``render_markdown`` emits the human-readable view —
-a two-column metric table, a category distribution table, sentiment
-lines, and the annotated text.
+fixed order (stats, readability, power words, sentiment, entities),
+collects any warnings, and records the sections that ran in
+``AnalysisReport.sections``; both renderers show exactly those sections.
+The caller chooses the output format by calling a renderer:
+``render_structured`` emits deterministic JSON (stable key order,
+two-decimal rounding, UTF-8, byte-identical for identical inputs);
+``render_markdown`` emits the human-readable view — a two-column metric
+table, a category distribution table, sentiment lines, and the annotated
+text.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .powerwords import (
     load_lexicon,
     scan,
 )
-from .readability import ReadabilityReport, readability_report
+from .readability import READABILITY_INDICES, ReadabilityReport, readability_report
 from .sentiment import SentimentLexicon, SentimentScore, analyze_sentiment, load_sentiment_lexicon
 from .textcore import (
     Document,
@@ -50,7 +53,6 @@ from .textcore import (
 
 __all__ = [
     "ALL_SECTIONS",
-    "OUTPUT_FORMATS",
     "AnalysisConfig",
     "AnalysisReport",
     "Resources",
@@ -63,7 +65,19 @@ __all__ = [
 
 # Section names in the order they run and render.
 ALL_SECTIONS = ("readability", "power", "sentiment", "entities")
-OUTPUT_FORMATS = ("structured", "markdown")
+
+# TextStats attribute, structured key and markdown label of each statistic,
+# in render order.
+_STATS_FIELDS = (
+    ("word_count", "words", "Words"),
+    ("sentence_count", "sentences", "Sentences"),
+    ("syllable_count", "syllables", "Syllables"),
+    ("letter_count", "letters", "Letters"),
+    ("char_count", "characters", "Characters"),
+    ("polysyllable_count", "polysyllables", "Polysyllables"),
+    ("complex_word_count", "complex_words", "Complex words"),
+    ("difficult_word_count", "difficult_words", "Difficult words"),
+)
 
 WARN_SMOG_LOW_SAMPLE = "smog-low-sample"
 WARN_EMPTY_DISTRIBUTION = "power-distribution-empty"
@@ -82,7 +96,6 @@ class AnalysisConfig:
     familiar_path: Path | None = None
     gazetteer_path: Path | None = None
     sections: frozenset[str] = frozenset(ALL_SECTIONS)
-    output_format: str = "markdown"
 
     def __post_init__(self) -> None:
         if not self.sections:
@@ -92,11 +105,6 @@ class AnalysisConfig:
             raise ValueError(
                 f"unknown sections: {', '.join(sorted(unknown))} "
                 f"(expected a subset of {', '.join(ALL_SECTIONS)})"
-            )
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"unknown output format {self.output_format!r} "
-                f"(expected one of {', '.join(OUTPUT_FORMATS)})"
             )
 
 
@@ -167,13 +175,16 @@ def load_resources(config: AnalysisConfig) -> Resources:
 class AnalysisReport:
     """Everything the enabled sections produced for one document.
 
-    Disabled sections are None.  ``warnings`` carries non-fatal notes
-    (low sentence sample, missing boilerplate markers, empty
-    distribution, readability unavailable on degenerate input).
+    ``sections`` names the sections that ran; the others' fields are
+    None, and so is readability when the input was too degenerate to
+    score.  ``warnings`` carries non-fatal notes (low sentence sample,
+    missing boilerplate markers, empty distribution, readability
+    unavailable on degenerate input).
     """
 
     document: Document
     stats: TextStats
+    sections: frozenset[str]
     readability: ReadabilityReport | None = None
     power: PowerWordHits | None = None
     power_distribution: CategoryDistribution | None = None
@@ -238,6 +249,7 @@ def analyze(
     return AnalysisReport(
         document=doc,
         stats=stats,
+        sections=config.sections,
         readability=readability,
         power=power,
         power_distribution=power_distribution,
@@ -258,33 +270,16 @@ def _r2(value: float) -> float:
     return 0.0 if rounded == 0.0 else rounded
 
 
-def _stats_payload(stats: TextStats) -> dict:
-    return {
-        "words": stats.word_count,
-        "sentences": stats.sentence_count,
-        "syllables": stats.syllable_count,
-        "letters": stats.letter_count,
-        "characters": stats.char_count,
-        "polysyllables": stats.polysyllable_count,
-        "complex_words": stats.complex_word_count,
-        "difficult_words": stats.difficult_word_count,
-    }
-
-
 def _readability_payload(report: ReadabilityReport | None) -> dict | None:
     if report is None:
         return None
-    return {
-        "reading_ease": _r2(report.flesch_reading_ease),
-        "reading_ease_label": report.ease_label,
-        "reading_level": _r2(report.flesch_kincaid_grade),
-        "smog_index": _r2(report.smog_index),
-        "gunning_fog": _r2(report.gunning_fog),
-        "coleman_liau": _r2(report.coleman_liau),
-        "automated_readability_index": _r2(report.ari),
-        "dale_chall": _r2(report.dale_chall),
-        "text_standard": report.text_standard,
-    }
+    payload: dict = {}
+    for attr, key, _label, _grade in READABILITY_INDICES:
+        payload[key] = _r2(getattr(report, attr))
+        if attr == "flesch_reading_ease":
+            payload["reading_ease_label"] = report.ease_label
+    payload["text_standard"] = report.text_standard
+    return payload
 
 
 def _power_payload(
@@ -335,57 +330,34 @@ def _entities_payload(spans: Sequence[EntitySpan] | None) -> list | None:
 
 
 def _report_payload(report: AnalysisReport) -> dict:
-    payload: dict = {"id": report.doc_id, "stats": _stats_payload(report.stats)}
+    payload: dict = {
+        "id": report.doc_id,
+        "stats": {key: getattr(report.stats, attr) for attr, key, _label in _STATS_FIELDS},
+    }
     # Sections the run disabled are omitted entirely; sections that were
     # enabled but produced nothing (degenerate input) render as null.
-    enabled = _enabled_sections(report)
-    if "readability" in enabled:
+    if "readability" in report.sections:
         payload["readability"] = _readability_payload(report.readability)
-    if "power" in enabled:
+    if "power" in report.sections:
         payload["power"] = _power_payload(report.power, report.power_distribution)
-    if "sentiment" in enabled:
+    if "sentiment" in report.sections:
         payload["sentiment"] = _sentiment_payload(report.sentiment)
-    if "entities" in enabled:
+    if "entities" in report.sections:
         payload["entities"] = _entities_payload(report.entities)
     payload["warnings"] = list(report.warnings)
     return payload
 
 
-def _enabled_sections(report: AnalysisReport) -> set[str]:
-    """Which sections this report actually ran.
-
-    A section is "enabled" if its field is populated, or — for
-    readability only — if its absence is explained by an
-    unavailable-warning (degenerate input with the section on).
-    """
-    enabled = set()
-    if report.readability is not None or any(
-        w.startswith("readability-unavailable") for w in report.warnings
-    ):
-        enabled.add("readability")
-    if report.power is not None:
-        enabled.add("power")
-    if report.sentiment is not None:
-        enabled.add("sentiment")
-    if report.entities is not None:
-        enabled.add("entities")
-    return enabled
-
-
 def _aggregate_payload(agg: GenreAggregate) -> dict:
     payload: dict = {"genre": agg.genre, "documents": agg.document_count}
-    if agg.mean_flesch_reading_ease is not None:
-        payload["readability"] = {
-            "reading_ease": _r2(agg.mean_flesch_reading_ease),
-            "reading_level": _r2(agg.mean_flesch_kincaid_grade),
-            "smog_index": _r2(agg.mean_smog_index),
-            "gunning_fog": _r2(agg.mean_gunning_fog),
-            "coleman_liau": _r2(agg.mean_coleman_liau),
-            "automated_readability_index": _r2(agg.mean_ari),
-            "dale_chall": _r2(agg.mean_dale_chall),
+    payload["readability"] = (
+        {
+            key: _r2(getattr(agg, f"mean_{attr}"))
+            for attr, key, _label, _grade in READABILITY_INDICES
         }
-    else:
-        payload["readability"] = None
+        if agg.mean_flesch_reading_ease is not None
+        else None
+    )
     payload["distribution"] = (
         {cat.value: _r2(agg.mean_distribution[cat]) for cat in PowerCategory}
         if agg.mean_distribution is not None
@@ -441,26 +413,26 @@ def render_structured(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_score(value: float) -> str:
-    """Grade-style score text: two decimals at most, no trailing zeros
-    beyond the first ('8.8', '10.52')."""
-    return str(_r2(value))
+def _fmt_index(value: float, grade: bool) -> str:
+    """Index score text: two decimals at most, no trailing zeros beyond
+    the first ('8.8', '10.52'), after 'Grade ' for a grade-level index."""
+    score = str(_r2(value))
+    return f"Grade {score}" if grade else score
 
 
 def _readability_rows(report: ReadabilityReport) -> list[tuple[str, str]]:
-    return [
-        ("Reading ease", report.ease_label),
-        ("Reading level", f"Grade {_fmt_score(report.flesch_kincaid_grade)}"),
-        ("Smog index", f"Grade {_fmt_score(report.smog_index)}"),
-        ("Gunning Fog index", f"Grade {_fmt_score(report.gunning_fog)}"),
-        ("Coleman-Liau index", f"Grade {_fmt_score(report.coleman_liau)}"),
+    # A document's reading ease shows as its label, not its score.
+    rows = [
         (
-            "Automated Readability index",
-            f"Grade {_fmt_score(report.ari)}",
-        ),
-        ("Dale-Chall Readability score", _fmt_score(report.dale_chall)),
-        ("Text standard", report.text_standard),
+            label,
+            report.ease_label
+            if attr == "flesch_reading_ease"
+            else _fmt_index(getattr(report, attr), grade),
+        )
+        for attr, _key, label, grade in READABILITY_INDICES
     ]
+    rows.append(("Text standard", report.text_standard))
+    return rows
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
@@ -475,26 +447,13 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
 def render_markdown(report: AnalysisReport) -> str:
     """Human-readable report: metric/score table, power-word
     distribution table, sentiment lines, annotated text, warnings."""
-    lines: list[str] = [f"# Analysis: {report.doc_id}", ""]
-
-    stats = report.stats
+    lines: list[str] = [f"# Analysis: {report.doc_id}", "", "## Text statistics", ""]
     lines += [
-        "## Text statistics",
-        "",
-        f"- Words: {stats.word_count}",
-        f"- Sentences: {stats.sentence_count}",
-        f"- Syllables: {stats.syllable_count}",
-        f"- Letters: {stats.letter_count}",
-        f"- Characters: {stats.char_count}",
-        f"- Polysyllables: {stats.polysyllable_count}",
-        f"- Complex words: {stats.complex_word_count}",
-        f"- Difficult words: {stats.difficult_word_count}",
-        "",
+        f"- {label}: {getattr(report.stats, attr)}" for attr, _key, label in _STATS_FIELDS
     ]
+    lines.append("")
 
-    enabled = _enabled_sections(report)
-
-    if "readability" in enabled:
+    if "readability" in report.sections:
         lines += ["## Readability", ""]
         if report.readability is not None:
             lines += _table(("Metric", "Score"), _readability_rows(report.readability))
@@ -502,7 +461,7 @@ def render_markdown(report: AnalysisReport) -> str:
             lines.append("Not available for this input (see warnings).")
         lines.append("")
 
-    if "power" in enabled and report.power is not None:
+    if "power" in report.sections and report.power is not None:
         dist = report.power_distribution
         assert dist is not None
         lines += ["## Power words", ""]
@@ -517,7 +476,7 @@ def render_markdown(report: AnalysisReport) -> str:
         lines += _table(("Category", "Count", "Share"), rows)
         lines += ["", f"Total matches: {report.power.total}", ""]
 
-    if "sentiment" in enabled and report.sentiment is not None:
+    if "sentiment" in report.sections and report.sentiment is not None:
         lines += [
             "## Sentiment",
             "",
@@ -527,7 +486,7 @@ def render_markdown(report: AnalysisReport) -> str:
             "",
         ]
 
-    if "entities" in enabled and report.entities is not None:
+    if "entities" in report.sections and report.entities is not None:
         lines += ["## Entities", ""]
         lines.append(render_annotations(report.document, report.entities))
         lines.append("")
@@ -548,13 +507,8 @@ def render_corpus_markdown(aggregates: Sequence[GenreAggregate]) -> str:
         lines += [f"## {agg.genre} ({agg.document_count} documents)", ""]
         if agg.mean_flesch_reading_ease is not None:
             rows = [
-                ("Reading ease", _fmt_score(agg.mean_flesch_reading_ease)),
-                ("Reading level", f"Grade {_fmt_score(agg.mean_flesch_kincaid_grade)}"),
-                ("Smog index", f"Grade {_fmt_score(agg.mean_smog_index)}"),
-                ("Gunning Fog index", f"Grade {_fmt_score(agg.mean_gunning_fog)}"),
-                ("Coleman-Liau index", f"Grade {_fmt_score(agg.mean_coleman_liau)}"),
-                ("Automated Readability index", f"Grade {_fmt_score(agg.mean_ari)}"),
-                ("Dale-Chall Readability score", _fmt_score(agg.mean_dale_chall)),
+                (label, _fmt_index(getattr(agg, f"mean_{attr}"), grade))
+                for attr, _key, label, grade in READABILITY_INDICES
             ]
             lines += _table(("Metric", "Mean score"), rows)
             lines.append("")

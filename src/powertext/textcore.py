@@ -234,6 +234,13 @@ class PhraseMatcher:
             i += 1
 
 
+def tokenizes_as_words(phrase: str) -> bool:
+    """Whether each space-separated word of ``phrase`` tokenizes to exactly
+    one word token; a phrase for which this fails can never match."""
+    tokens = tokenize(phrase)
+    return len(tokens) == phrase.count(" ") + 1 and all(tok.is_word for tok in tokens)
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -506,8 +513,10 @@ def _word_type(
     lowercased form nor its naive singular (one trailing ``s`` stripped)
     is on the familiar list.
     """
-    letters = sum(1 for ch in text if ch.isalpha())
-    characters = sum(1 for ch in text if ch.isalpha() or ch.isdigit())
+    # Counted on the NFC form: decomposed Hangul jamo are letters too.
+    composed = unicodedata.normalize("NFC", text)
+    letters = sum(1 for ch in composed if ch.isalpha())
+    characters = sum(1 for ch in composed if ch.isalpha() or ch.isdigit())
     syllables = count_syllables(text, exceptions)
     lower = normalize(text)
 

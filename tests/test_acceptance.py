@@ -371,6 +371,7 @@ def _hand_report(
     return AnalysisReport(
         document=doc,
         stats=TextStats(6, 3, 6, 22, 22, 0, 0, 0),
+        sections=frozenset({"readability", "power", "sentiment"}),
         readability=ReadabilityReport(
             flesch_reading_ease=ease,
             ease_label="Standard",

@@ -428,9 +428,11 @@ def make_report(
         sentiment = SentimentScore(
             polarity=polarity, subjectivity=subjectivity or 0.0, matched_terms=1
         )
+    present = {"readability": readability, "power": dist, "sentiment": sentiment}
     return AnalysisReport(
         document=_DOC,
         stats=_STATS,
+        sections=frozenset(name for name, value in present.items() if value is not None),
         readability=readability,
         power=None,
         power_distribution=dist,

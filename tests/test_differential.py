@@ -278,10 +278,12 @@ def test_word_table_measures_long_texts_without_keeping_them():
     assert table.cache_info().currsize == 1  # only "short"
 
 
-# Precomposed Latin-1 letters (À-ÿ), most of which decompose under NFD.
-# Hangul is left out: its composition changes letter counts.
+# Precomposed Latin-1 letters (À-ÿ), most of which decompose under NFD,
+# and Hangul syllables, which decompose into two or three letters (jamo).
 _COMPOSED = "".join(ch for ch in map(chr, range(0xC0, 0x100)) if ch.isalpha())
-_NFD_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " " + _COMPOSED
+_NFD_ALPHABET = st.sampled_from(
+    string.ascii_letters + string.digits + string.punctuation + " " + _COMPOSED
+) | st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3)
 
 
 @settings(max_examples=300, deadline=None)

@@ -80,6 +80,19 @@ def test_load_gazetteer_rejects_cross_section_conflicts():
     assert "america" in str(err.value)
 
 
+def test_load_gazetteer_rejects_surfaces_that_can_never_match():
+    # Tokens split at "." and "&", so these surfaces could never be found.
+    for text, line in (("[GPE]\nU.S.\n", 2), ("[GPE]\nOhio\n[ORG]\nAT&T\n", 4)):
+        with pytest.raises(DataFileError, match="never match") as err:
+            load_gazetteer(io.StringIO(text))
+        assert err.value.line == line
+    gaz = load_gazetteer(io.StringIO("[ORG]\nO'Neill-Smith Co\n"))
+    assert pairs("We met O'Neill-Smith Co today.", gaz)[0] == (
+        "O'Neill-Smith Co",
+        EntityLabel.ORG,
+    )
+
+
 def test_load_gazetteer_accepts_bytes_and_duplicates_within_section():
     gaz = load_gazetteer(io.BytesIO(b"[GPE]\nAmerica\namerica\n"))
     assert gaz.entries == {"america": EntityLabel.GPE}

@@ -1,14 +1,25 @@
-"""Behaviour oracle: the structured reports of the shipped sample corpus
-must match the committed goldens byte for byte.
+"""Behaviour oracle: the reports of the shipped sample corpus, in both
+output formats, must match the committed goldens byte for byte.
 
-The goldens under ``tests/golden/`` are the output of
+The structured goldens under ``tests/golden/`` are the output of
 
     powertext corpus src/powertext/data/corpus/manifest.csv \
         --format structured --out tests/golden
 
-one report per sample document plus ``corpus.json``, the per-genre
-aggregate.  A change that means to alter these bytes regenerates them
-with that command and says which bytes changed and why.
+and the markdown goldens under ``tests/golden/markdown/`` the output of
+the same command with the default format and ``--out
+tests/golden/markdown``: one report per sample document plus the
+per-genre aggregate (``corpus.json``, ``corpus.md``).
+
+``tests/golden/markdown/analyze/`` holds the stdout of
+
+    powertext analyze tests/fixtures/one-sentence.txt [--sections power]
+
+a one-sentence text, on which readability is unavailable
+(``one-sentence.md``, all sections; ``one-sentence.power.md``).
+
+A change that means to alter these bytes regenerates them with those
+commands and says which bytes changed and why.
 """
 
 from pathlib import Path
@@ -20,16 +31,25 @@ from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = sorted(path.name for path in GOLDEN_DIR.glob("*.json"))
+MARKDOWN_DIR = GOLDEN_DIR / "markdown"
+MARKDOWN_NAMES = sorted(path.name for path in MARKDOWN_DIR.glob("*.md"))
+ONE_SENTENCE = Path(__file__).parent / "fixtures" / "one-sentence.txt"
+
+
+def _corpus_run(out: Path, *flags: str) -> Path:
+    status = main(["corpus", str(data_path(CORPUS_MANIFEST_FILE)), *flags, "--out", str(out)])
+    assert status == 0
+    return out
 
 
 @pytest.fixture(scope="module")
 def corpus_output(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("corpus")
-    status = main(
-        ["corpus", str(data_path(CORPUS_MANIFEST_FILE)), "--format", "structured", "--out", str(out)]
-    )
-    assert status == 0
-    return out
+    return _corpus_run(tmp_path_factory.mktemp("corpus"), "--format", "structured")
+
+
+@pytest.fixture(scope="module")
+def markdown_output(tmp_path_factory) -> Path:
+    return _corpus_run(tmp_path_factory.mktemp("markdown"))
 
 
 def test_goldens_cover_nine_documents_and_the_aggregate(corpus_output):
@@ -40,3 +60,23 @@ def test_goldens_cover_nine_documents_and_the_aggregate(corpus_output):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_structured_report_matches_golden_bytes(corpus_output, name):
     assert (corpus_output / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_markdown_goldens_cover_nine_documents_and_the_aggregate(markdown_output):
+    assert len(MARKDOWN_NAMES) == 10 and "corpus.md" in MARKDOWN_NAMES
+    assert sorted(path.name for path in markdown_output.iterdir()) == MARKDOWN_NAMES
+
+
+@pytest.mark.parametrize("name", MARKDOWN_NAMES)
+def test_markdown_report_matches_golden_bytes(markdown_output, name):
+    assert (markdown_output / name).read_bytes() == (MARKDOWN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden, flags",
+    [("one-sentence.md", []), ("one-sentence.power.md", ["--sections", "power"])],
+)
+def test_analyze_markdown_matches_golden_bytes(capsysbinary, golden, flags):
+    assert main(["analyze", str(ONE_SENTENCE), *flags]) == 0
+    expected = (MARKDOWN_DIR / "analyze" / golden).read_bytes()
+    assert capsysbinary.readouterr().out == expected

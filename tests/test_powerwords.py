@@ -119,6 +119,15 @@ def test_load_rejects_overlong_phrases():
         lexicon_from("one two three four five six seven,Fear\n")
 
 
+def test_load_rejects_terms_that_can_never_match():
+    # "!" and "/" are tokens of their own, so these terms could never match.
+    for text, line in (("free!,Greed\n", 1), ("free,Greed\n24/7,Safety\n", 2)):
+        with pytest.raises(DataFileError, match="never match") as err:
+            lexicon_from(text)
+        assert err.value.line == line
+    assert len(lexicon_from("don't miss,Fear\nwell-known,Safety\n")) == 2
+
+
 def test_load_rejects_lines_without_comma():
     with pytest.raises(DataFileError):
         lexicon_from("free\n")

@@ -59,8 +59,8 @@ def make_resources() -> Resources:
     )
 
 
-def config_with(sections=frozenset(ALL_SECTIONS), output_format="markdown"):
-    return AnalysisConfig(sections=frozenset(sections), output_format=output_format)
+def config_with(sections=frozenset(ALL_SECTIONS)):
+    return AnalysisConfig(sections=frozenset(sections))
 
 
 SAMPLE_TEXT = (
@@ -77,7 +77,6 @@ SAMPLE_TEXT = (
 def test_config_defaults_are_valid():
     config = AnalysisConfig()
     assert config.sections == frozenset(ALL_SECTIONS)
-    assert config.output_format == "markdown"
 
 
 def test_config_rejects_empty_sections():
@@ -88,11 +87,6 @@ def test_config_rejects_empty_sections():
 def test_config_rejects_unknown_section():
     with pytest.raises(ValueError, match="astrology"):
         AnalysisConfig(sections=frozenset({"readability", "astrology"}))
-
-
-def test_config_rejects_unknown_format():
-    with pytest.raises(ValueError, match="xml"):
-        AnalysisConfig(output_format="xml")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +271,9 @@ def full_counts(**overrides):
 
 
 def make_render_report(**kwargs) -> AnalysisReport:
-    return AnalysisReport(document=_DOC, stats=_STATS, **kwargs)
+    # The sections whose fields the caller sets ran.
+    sections = frozenset(ALL_SECTIONS).intersection(kwargs)
+    return AnalysisReport(document=_DOC, stats=_STATS, sections=sections, **kwargs)
 
 
 def test_render_structured_is_byte_identical():
@@ -335,7 +331,7 @@ def test_render_structured_negative_zero_normalized():
 
 def test_render_structured_enabled_but_unavailable_is_null():
     report = make_render_report(
-        warnings=("readability-unavailable: empty document",)
+        readability=None, warnings=("readability-unavailable: empty document",)
     )
     payload = json.loads(render_structured(report).decode("utf-8"))
     assert payload["readability"] is None
@@ -343,7 +339,7 @@ def test_render_structured_enabled_but_unavailable_is_null():
 
 def test_render_structured_trailing_newline_and_utf8():
     doc = build_document("naïve-doc", "Café déjà vu. Ça va bien.")
-    report = AnalysisReport(document=doc, stats=_STATS)
+    report = AnalysisReport(document=doc, stats=_STATS, sections=frozenset())
     blob = render_structured(report)
     assert blob.endswith(b"\n")
     assert "naïve-doc" in blob.decode("utf-8")
@@ -386,6 +382,7 @@ def make_agg_report(polarity, greed_share):
     return AnalysisReport(
         document=_DOC,
         stats=_STATS,
+        sections=frozenset({"power", "sentiment"}),
         power_distribution=dist,
         sentiment=SentimentScore(polarity=polarity, subjectivity=0.5, matched_terms=1),
     )
@@ -489,7 +486,9 @@ def test_markdown_entities_inline_annotations():
         EntitySpan(start=6, end=13, surface="America", label=EntityLabel.GPE),
         EntitySpan(start=14, end=19, surface="today", label=EntityLabel.DATE),
     )
-    report = AnalysisReport(document=doc, stats=_STATS, entities=spans)
+    report = AnalysisReport(
+        document=doc, stats=_STATS, sections=frozenset({"entities"}), entities=spans
+    )
     text = render_markdown(report)
     assert "I saw **America GPE** **today DATE**." in text
 
