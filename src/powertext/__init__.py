@@ -13,6 +13,7 @@ from .corpus import (
     GutenbergText,
     ManifestEntry,
     aggregate,
+    iter_corpus,
     load_corpus,
     load_manifest,
     strip_gutenberg_boilerplate,
@@ -155,6 +156,7 @@ __all__ = [
     "strip_gutenberg_boilerplate",
     "strip_html",
     "load_manifest",
+    "iter_corpus",
     "load_corpus",
     "aggregate",
     # reports

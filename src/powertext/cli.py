@@ -2,9 +2,22 @@
 
 Two subcommands: ``analyze`` runs the enabled analysis sections over a
 single UTF-8 text file; ``corpus`` runs them over every file in a
-manifest and reports per-genre aggregates (optionally writing one
-report file per document).  Exit codes: 0 success, 1 usage error,
-2 data-file error, 3 input-text error.
+manifest and reports per-genre aggregates, optionally writing one
+report file per document into ``--out``.
+
+``corpus`` streams: it reads, analyses and writes one document at a
+time and keeps only the three results per document that the genre
+means need, so its memory does not grow with the corpus and each
+report file appears as soon as its document is done.  The summary is
+written last.
+
+Exit codes: 0 success, 1 usage error, 2 data-file error, 3 input-text
+error.  Usage errors, bad manifest or data files and a missing corpus
+file are found before ``--out`` is created.  An error found only by
+reading a corpus file (unreadable: 2; an unterminated ebook marker
+pair or an empty cleaned text: 3), or a section the genre means find
+for some documents of a genre but not for others (3), can leave the
+reports of earlier documents in ``--out``, but never the summary.
 """
 
 from __future__ import annotations
@@ -12,10 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
-from .corpus import GenreAggregate, aggregate, load_corpus, load_manifest
+from .corpus import SUMMARY_ID, GenreAggregate, aggregate, iter_corpus, load_manifest
 from .defaults import (
     ENV_DATA_DIR,
     FAMILIAR_WORDS_FILE,
@@ -24,6 +37,8 @@ from .defaults import (
     SENTIMENT_LEXICON_FILE,
 )
 from .errors import DataFileError, InputTextError
+from .powerwords import CategoryDistribution
+from .readability import ReadabilityReport
 from .report import (
     ALL_SECTIONS,
     AnalysisConfig,
@@ -34,6 +49,7 @@ from .report import (
     render_markdown,
     render_structured,
 )
+from .sentiment import SentimentScore
 from .textcore import build_document
 
 __all__ = ["main", "build_parser"]
@@ -176,34 +192,37 @@ def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
     return 0
 
 
+class _AggregateRow(NamedTuple):
+    """What ``aggregate`` reads of one report, so the report and its
+    document can be dropped as soon as the report is written."""
+
+    readability: ReadabilityReport | None
+    power_distribution: CategoryDistribution | None
+    sentiment: SentimentScore | None
+
+
 def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
     manifest = load_manifest(args.manifest)
     resources = load_resources(config)
-    corpus_docs = load_corpus(manifest)
-    reports = [
-        (
-            analyze(
-                item.document,
-                config,
-                resources=resources,
-                extra_warnings=item.warnings,
-            ),
-            item.genre,
+    documents = iter_corpus(manifest)  # checks every file before any read
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+    rows: list[tuple[_AggregateRow, str]] = []
+    for item in documents:
+        report = analyze(
+            item.document, config, resources=resources, extra_warnings=item.warnings
         )
-        for item in corpus_docs
-    ]
-    aggregates = aggregate(reports)
+        if args.out is not None:
+            extension, data = _render(report, args.format)
+            (args.out / f"{report.doc_id}.{extension}").write_bytes(data)
+        row = _AggregateRow(report.readability, report.power_distribution, report.sentiment)
+        rows.append((row, item.genre))
 
+    extension, data = _render(aggregate(rows), args.format)
     if args.out is None:
-        _extension, data = _render(aggregates, args.format)
         _write_stdout(data)
-        return 0
-    args.out.mkdir(parents=True, exist_ok=True)
-    for report, _genre in reports:
-        extension, data = _render(report, args.format)
-        (args.out / f"{report.doc_id}.{extension}").write_bytes(data)
-    extension, data = _render(aggregates, args.format)
-    (args.out / f"corpus.{extension}").write_bytes(data)
+    else:
+        (args.out / f"{SUMMARY_ID}.{extension}").write_bytes(data)
     return 0
 
 

@@ -5,8 +5,12 @@ A corpus is described by a manifest of ``path,id,genre,kind`` lines.
 Each file is cleaned according to its kind — ebook boilerplate stripped
 between the ``*** START OF`` / ``*** END OF`` marker lines, HTML reduced
 to text, plain text passed through — then tokenized into a Document.
-Aggregation averages per-document percentages and scores (mean of
-percentages, not pooled counts, so long texts don't dominate a genre).
+``iter_corpus`` yields these one at a time, so a caller can analyse and
+drop each document before the next file is read; ``load_corpus`` is the
+list of them.  Aggregation averages per-document percentages and scores
+(mean of percentages, not pooled counts, so long texts don't dominate a
+genre); it reads only three fields of each report, so a caller need not
+keep the reports themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
 from statistics import fmean
-from typing import IO, TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+from typing import (
+    IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence,
+)
 
 from .errors import DataFileError, InputTextError
 from .powerwords import CategoryDistribution, PowerCategory
@@ -36,6 +42,7 @@ __all__ = [
     "strip_gutenberg_boilerplate",
     "strip_html",
     "load_manifest",
+    "iter_corpus",
     "load_corpus",
     "aggregate",
 ]
@@ -47,6 +54,10 @@ _START_MARKER = "*** START OF"
 _END_MARKER = "*** END OF"
 
 WARN_MISSING_MARKERS = "gutenberg-markers-missing"
+
+# The ``corpus`` command names each report file after its document id and
+# the genre summary after this one, which no manifest id may take.
+SUMMARY_ID = "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +211,9 @@ def load_manifest(
     Relative paths resolve against ``base_dir`` when given, else the
     manifest's own directory, or the working directory for a stream.
     Duplicate ids, unknown genres or kinds, and malformed lines are
-    errors naming the line.
+    errors naming the line.  So is an id that could not be a report
+    file name inside the ``--out`` directory: one that contains ``/``,
+    ``\\`` or ``..``, starts with ``.``, or is ``corpus`` in any case.
     """
     name, lines = read_data_lines(source)
     if base_dir is not None:
@@ -228,6 +241,17 @@ def load_manifest(
             raise DataFileError("empty path", source=name, line=lineno)
         if not doc_id:
             raise DataFileError("empty id", source=name, line=lineno)
+        if (
+            any(part in doc_id for part in ("/", "\\", ".."))
+            or doc_id.startswith(".")
+            or doc_id.lower() == SUMMARY_ID
+        ):
+            raise DataFileError(
+                f"id {doc_id!r} cannot name a report file: it may not contain "
+                f"'/', '\\' or '..', start with '.', or be {SUMMARY_ID!r}",
+                source=name,
+                line=lineno,
+            )
         if genre not in GENRES:
             raise DataFileError(
                 f"unknown genre {genre!r} (expected one of {', '.join(GENRES)})",
@@ -274,42 +298,62 @@ class CorpusDocument:
     warnings: tuple[str, ...] = ()
 
 
+def iter_corpus(manifest: CorpusManifest) -> Iterator[CorpusDocument]:
+    """Read, clean, and tokenize the manifest entries one at a time, in
+    order.
+
+    Every entry's path is checked to name a file when this is called,
+    before any file is read, so a missing file fails before the first
+    document.  Errors found only by reading (an unreadable file, an
+    unterminated marker pair, an empty cleaned text) are raised when
+    that entry is reached.
+    """
+    for entry in manifest.entries:
+        if not entry.path.is_file():
+            raise DataFileError(
+                f"cannot read corpus file for {entry.doc_id!r}: no such file",
+                source=str(entry.path),
+            )
+    return map(_load_entry, manifest.entries)
+
+
 def load_corpus(manifest: CorpusManifest) -> list[CorpusDocument]:
     """Read, clean, and tokenize every manifest entry, order preserved."""
-    loaded: list[CorpusDocument] = []
-    for entry in manifest.entries:
+    return list(iter_corpus(manifest))
+
+
+def _load_entry(entry: ManifestEntry) -> CorpusDocument:
+    """One manifest entry, read, cleaned by its kind, and tokenized."""
+    try:
+        raw = entry.path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFileError(
+            f"cannot read corpus file for {entry.doc_id!r}: {exc}",
+            source=str(entry.path),
+        ) from exc
+
+    warnings: tuple[str, ...] = ()
+    if entry.kind == "gutenberg":
         try:
-            raw = entry.path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataFileError(
-                f"cannot read corpus file for {entry.doc_id!r}: {exc}",
-                source=str(entry.path),
-            ) from exc
+            stripped = strip_gutenberg_boilerplate(raw)
+        except InputTextError as exc:
+            raise InputTextError(f"{entry.doc_id}: {exc}") from exc
+        text = stripped.text
+        if stripped.markers_missing:
+            warnings = (WARN_MISSING_MARKERS,)
+    elif entry.kind == "html":
+        text = strip_html(raw)
+    else:
+        text = raw
 
-        warnings: tuple[str, ...] = ()
-        if entry.kind == "gutenberg":
-            try:
-                stripped = strip_gutenberg_boilerplate(raw)
-            except InputTextError as exc:
-                raise InputTextError(f"{entry.doc_id}: {exc}") from exc
-            text = stripped.text
-            if stripped.markers_missing:
-                warnings = (WARN_MISSING_MARKERS,)
-        elif entry.kind == "html":
-            text = strip_html(raw)
-        else:
-            text = raw
-
-        if not text.strip():
-            raise InputTextError(f"{entry.doc_id}: cleaned text is empty")
-        loaded.append(
-            CorpusDocument(
-                document=build_document(entry.doc_id, text),
-                genre=entry.genre,
-                warnings=warnings,
-            )
-        )
-    return loaded
+    # A leading byte-order mark is not text (see ``textcore.tokenize``).
+    if not text.removeprefix("\ufeff").strip():
+        raise InputTextError(f"{entry.doc_id}: cleaned text is empty")
+    return CorpusDocument(
+        document=build_document(entry.doc_id, text),
+        genre=entry.genre,
+        warnings=warnings,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +411,12 @@ def aggregate(
 ) -> list[GenreAggregate]:
     """Genre-level means over per-document reports.
 
-    Returns one aggregate per genre present, in the fixed genre order.
-    Distribution averaging is mean-of-percentages.  A section must be
-    present for all documents of a genre or absent for all of them.
+    Only each report's ``readability``, ``power_distribution`` and
+    ``sentiment`` are read, so any object with those three attributes
+    serves in place of an ``AnalysisReport``.  Returns one aggregate per
+    genre present, in the fixed genre order.  Distribution averaging is
+    mean-of-percentages.  A section must be present for all documents of
+    a genre or absent for all of them.
     """
     if not reports:
         raise InputTextError("cannot aggregate zero reports")

@@ -11,6 +11,8 @@ are deliberately small, explicit, and heavily tested:
 * sentence boundaries require a terminator, optional closing quotes or
   brackets, whitespace, and a following capital letter or digit, with a
   short abbreviation guard;
+* a byte-order mark (U+FEFF) at the start of a text is neither a token
+  nor part of a sentence, and offsets still index the text it leads;
 * syllables come from vowel-group counting with an exceptions table and
   a silent-e rule.
 
@@ -59,6 +61,9 @@ __all__ = [
 # Apostrophe variants that may appear inside a word ("don't", "don’t").
 _APOSTROPHES = "'’"
 _HYPHEN = "-"
+
+# A byte-order mark that an editor left at the start of a file.
+_BOM = "\ufeff"
 
 # Sentence terminators and the closing marks allowed to trail them.
 _TERMINATORS = ".!?"
@@ -278,7 +283,8 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     quotes/brackets, at least one whitespace character, and a capital
     letter or digit next.  The word before the terminator must not be a
     known abbreviation.  Text without any terminator is one sentence.
-    Spans cover every non-whitespace character and never overlap.
+    Spans cover every non-whitespace character but a leading byte-order
+    mark, and never overlap.
     """
     n = len(text)
     spans: list[tuple[int, int]] = []
@@ -290,7 +296,7 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
             i += 1
         return i
 
-    cursor = _skip_ws(0)
+    cursor = _skip_ws(1 if text.startswith(_BOM) else 0)
     if cursor == n:
         return []
 
@@ -358,11 +364,11 @@ def tokenize(text: str, *, offset: int = 0) -> list[Token]:
     marks that follow them, where an apostrophe or hyphen between two
     such runs joins them (``don't``, ``self-evident``).  Between words,
     any run of non-whitespace characters becomes one non-word token.
-    Joining token texts with the whitespace between them reproduces the
-    input exactly.
+    A leading byte-order mark is skipped.  Joining token texts with the
+    whitespace between them reproduces the rest of the input exactly.
     """
     tokens: list[Token] = []
-    for match in _CHUNK.finditer(text):
+    for match in _CHUNK.finditer(text, 1 if text.startswith(_BOM) else 0):
         chunk = match.group()
         start = offset + match.start()
         if chunk.isalpha():

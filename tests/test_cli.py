@@ -1,7 +1,9 @@
 """Black-box tests for the command-line interface.
 
-Every test runs the CLI in a subprocess, asserting on exit codes,
-stdout/stderr, and written files only — exactly how a user sees it.
+Every test but the memory test runs the CLI in a subprocess, asserting
+on exit codes, stdout/stderr, and written files only — exactly how a
+user sees it.  The memory test calls ``main`` in-process, so that
+``tracemalloc`` sees the command's allocations.
 """
 
 from __future__ import annotations
@@ -10,8 +12,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+
+from powertext.cli import main
+from powertext.corpus import load_manifest
+from powertext.defaults import CORPUS_MANIFEST_FILE, ENV_DATA_DIR, data_path
 
 
 def run_cli(*args, data_dir=None, cwd=None):
@@ -167,6 +174,20 @@ def test_version_flag():
     assert "0.1.0" in result.stdout
 
 
+@pytest.mark.parametrize("text", ["Get your free bargain now. America is great.\n", "\n"])
+def test_analyze_ignores_a_leading_byte_order_mark(data_dir, tmp_path, text):
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    stats = []
+    for path in (plain, marked):
+        result = run_cli("analyze", path, "--format", "structured", data_dir=data_dir)
+        assert result.returncode == 0, result.stderr
+        stats.append(json.loads(result.stdout)["stats"])
+    assert stats[0] == stats[1]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -315,3 +336,92 @@ def test_corpus_unterminated_markers_exit_3(data_dir, tmp_path):
     manifest.write_text("trunc.txt,trunc,fiction,gutenberg\n", encoding="utf-8")
     result = run_cli("corpus", manifest, data_dir=data_dir)
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize("doc_id", ["corpus", "../escaped"])
+def test_corpus_id_that_cannot_name_a_report_file_exits_2(data_dir, corpus_dir, tmp_path, doc_id):
+    manifest = corpus_dir / "bad.csv"
+    manifest.write_text(
+        f"story.txt,story,fiction,plain\ntalk.txt,{doc_id},speech,plain\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "reports"
+    result = run_cli(
+        "corpus", manifest, "--format", "structured", "--out", out, data_dir=data_dir
+    )
+    assert result.returncode == 2
+    assert "bad.csv:2:" in result.stderr
+    assert not out.exists()
+    assert not (tmp_path / "escaped.json").exists()
+
+
+def test_corpus_missing_file_exits_2_before_out_is_created(data_dir, corpus_dir, tmp_path):
+    manifest = corpus_dir / "partial.csv"
+    manifest.write_text(
+        "story.txt,story,fiction,plain\nghost.txt,ghost-id,speech,plain\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "reports"
+    result = run_cli("corpus", manifest, "--out", out, data_dir=data_dir)
+    assert result.returncode == 2
+    assert "ghost-id" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, kind, message",
+    [
+        ("trunc.txt", "*** START OF X ***\nbody\n", "gutenberg", "late:"),
+        ("blank.html", "<p> </p>", "html", "cleaned text is empty"),
+        # No words, so no readability: present for story, absent here.
+        ("marks.txt", "!!! ???\n", "plain", "present for some documents"),
+    ],
+)
+def test_corpus_input_error_while_streaming_exits_3_without_summary(
+    data_dir, corpus_dir, tmp_path, name, content, kind, message
+):
+    (corpus_dir / name).write_text(content, encoding="utf-8")
+    manifest = corpus_dir / "late.csv"
+    manifest.write_text(
+        f"story.txt,story,fiction,plain\n{name},late,fiction,{kind}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "reports"
+    result = run_cli(
+        "corpus", manifest, "--format", "structured", "--out", out, data_dir=data_dir
+    )
+    assert result.returncode == 3
+    assert message in result.stderr
+    # Reports already written stay; the summary is never written.
+    assert (out / "story.json").is_file()
+    assert not (out / "corpus.json").exists()
+
+
+def _corpus_peak_bytes(tmp_path, copies: int) -> int:
+    """Peak traced memory of one in-process ``corpus --out`` run over the
+    shipped manifest listed ``copies`` times under distinct ids."""
+    shipped = load_manifest(data_path(CORPUS_MANIFEST_FILE)).entries
+    manifest = tmp_path / f"x{copies}.csv"
+    manifest.write_text(
+        "".join(
+            f"{entry.path},{entry.doc_id}-{copy},{entry.genre},{entry.kind}\n"
+            for copy in range(copies)
+            for entry in shipped
+        ),
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        status = main(["corpus", str(manifest), "--out", str(tmp_path / f"out-x{copies}")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    return peak
+
+
+def test_corpus_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_DATA_DIR, raising=False)
+    small = _corpus_peak_bytes(tmp_path, 2)
+    large = _corpus_peak_bytes(tmp_path, 8)
+    assert large <= 1.5 * small, (small, large)

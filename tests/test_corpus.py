@@ -14,6 +14,7 @@ from powertext.corpus import (
     ManifestEntry,
     WARN_MISSING_MARKERS,
     aggregate,
+    iter_corpus,
     load_corpus,
     load_manifest,
     strip_gutenberg_boilerplate,
@@ -225,6 +226,26 @@ def test_manifest_duplicate_id(tmp_path):
         load_manifest(manifest_file)
 
 
+@pytest.mark.parametrize(
+    "doc_id",
+    ["corpus", "Corpus", "CORPUS", "../escaped", "sub/doc", "sub\\doc", "a..b", ".hidden", ".."],
+)
+def test_manifest_rejects_ids_that_cannot_name_a_report_file(tmp_path, doc_id):
+    manifest_file = tmp_path / "m.csv"
+    manifest_file.write_text(
+        f"a.txt,doc-a,fiction,plain\nb.txt,{doc_id},speech,plain\n", encoding="utf-8"
+    )
+    with pytest.raises(DataFileError, match="cannot name a report file") as err:
+        load_manifest(manifest_file)
+    assert err.value.line == 2
+
+
+def test_manifest_accepts_ids_with_inner_dots(tmp_path):
+    stream = io.StringIO("a.txt,v1.2,fiction,plain\nb.txt,corpus-2,speech,plain\n")
+    manifest = load_manifest(stream, base_dir=tmp_path)
+    assert [entry.doc_id for entry in manifest.entries] == ["v1.2", "corpus-2"]
+
+
 def test_manifest_empty_is_error(tmp_path):
     manifest_file = tmp_path / "m.csv"
     manifest_file.write_text("# nothing but comments\n", encoding="utf-8")
@@ -344,6 +365,33 @@ def test_load_corpus_missing_file_names_id(tmp_path):
         load_corpus(manifest)
 
 
+def test_iter_corpus_checks_every_file_before_reading_any(tmp_path):
+    (tmp_path / "p.txt").write_text("As is. Every byte.\n", encoding="utf-8")
+    entries = (
+        ManifestEntry(path=tmp_path / "p.txt", doc_id="p", genre="speech", kind="plain"),
+        ManifestEntry(path=tmp_path / "ghost.txt", doc_id="ghost", genre="speech", kind="plain"),
+    )
+    with pytest.raises(DataFileError, match="ghost") as err:
+        iter_corpus(CorpusManifest(entries=entries))
+    assert err.value.source == str(tmp_path / "ghost.txt")
+
+
+def test_iter_corpus_reads_one_file_per_document(tmp_path):
+    (tmp_path / "a.txt").write_text("First text. It is short.\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("*** START OF X ***\nno end\n", encoding="utf-8")
+    entries = (
+        ManifestEntry(path=tmp_path / "a.txt", doc_id="a", genre="fiction", kind="plain"),
+        ManifestEntry(path=tmp_path / "b.txt", doc_id="b", genre="fiction", kind="gutenberg"),
+    )
+    documents = iter_corpus(CorpusManifest(entries=entries))
+    first = next(documents)
+    assert first.document.doc_id == "a"
+    assert first.document.raw == "First text. It is short.\n"
+    # The second file is read, and found truncated, only when asked for.
+    with pytest.raises(InputTextError, match="b:"):
+        next(documents)
+
+
 def test_load_corpus_empty_cleaned_text_names_id(tmp_path):
     (tmp_path / "empty.html").write_text("<script>only code</script>", encoding="utf-8")
     manifest = CorpusManifest(
@@ -358,6 +406,14 @@ def test_load_corpus_empty_cleaned_text_names_id(tmp_path):
     )
     with pytest.raises(InputTextError, match="hollow"):
         load_corpus(manifest)
+
+
+@pytest.mark.parametrize("content, kind", [("\ufeff \n", "plain"), ("\ufeff<p></p>", "html")])
+def test_load_corpus_byte_order_mark_alone_is_empty_text(tmp_path, content, kind):
+    (tmp_path / "bom.txt").write_text(content, encoding="utf-8")
+    entry = ManifestEntry(path=tmp_path / "bom.txt", doc_id="bom", genre="fiction", kind=kind)
+    with pytest.raises(InputTextError, match="bom: cleaned text is empty"):
+        load_corpus(CorpusManifest(entries=(entry,)))
 
 
 def test_load_corpus_unterminated_markers_names_id(tmp_path):

@@ -5,7 +5,8 @@ reference implementations.
 character-by-character tokenizer and the per-occurrence statistics that
 ``tokenize`` and the per-type ``compute_stats`` replaced; the tokenizer
 copy has since gained the combining-mark rule (a mark that follows a word
-character extends the word).  Both must agree with them on every input.
+character extends the word) and skips a leading byte-order mark.  Both
+must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from powertext.textcore import (
 )
 
 # ---------------------------------------------------------------------------
-# Reference tokenizer (the per-character version, plus combining marks)
+# Reference tokenizer (the per-character version, plus combining marks
+# and the leading byte-order mark)
 # ---------------------------------------------------------------------------
 
 _APOSTROPHES = "'’"
@@ -48,7 +50,7 @@ def _is_mark(ch: str) -> bool:
 def reference_tokenize(text: str, *, offset: int = 0) -> list[Token]:
     tokens: list[Token] = []
     n = len(text)
-    i = 0
+    i = 1 if text.startswith("\ufeff") else 0
     while i < n:
         ch = text[i]
         if ch.isspace():

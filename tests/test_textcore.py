@@ -274,6 +274,24 @@ def test_split_spans_partition_non_whitespace():
             assert not text[b - 1].isspace()
 
 
+def test_leading_byte_order_mark_is_neither_token_nor_sentence():
+    text = "\ufeffHello world. Bye."
+    assert tokenize(text) == [
+        Token("Hello", 1, 6, True),
+        Token("world", 7, 12, True),
+        Token(".", 12, 13, False),
+        Token("Bye", 14, 17, True),
+        Token(".", 17, 18, False),
+    ]
+    assert split_sentences(text) == [(1, 13), (14, 18)]
+    assert split_sentences("\ufeff \n") == []
+    doc = build_document("bom", text)
+    assert doc.raw == text
+    assert [t.text for t in doc.tokens] == ["Hello", "world", ".", "Bye", "."]
+    # Only a leading mark is skipped: elsewhere it stays a non-word token.
+    assert tokenize("Hi \ufeff")[-1] == Token("\ufeff", 3, 4, False)
+
+
 # ---------------------------------------------------------------------------
 # build_document
 # ---------------------------------------------------------------------------
