@@ -77,6 +77,7 @@ from .textcore import (
     Document,
     TextStats,
     Token,
+    Tokens,
     WordTable,
     build_document,
     compute_stats,
@@ -98,6 +99,7 @@ __all__ = [
     "InputTextError",
     # text core
     "Token",
+    "Tokens",
     "TextStats",
     "Document",
     "WordTable",

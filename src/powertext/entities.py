@@ -25,7 +25,6 @@ from .errors import DataFileError
 from .textcore import (
     Document,
     PhraseMatcher,
-    Token,
     normalize,
     read_data_lines,
     tokenizes_as_words,
@@ -233,13 +232,15 @@ class _Tagger:
 
     def __init__(self, doc: Document):
         self.raw = doc.raw
-        self.tokens: Sequence[Token] = doc.tokens
+        self.texts = doc.tokens.texts
+        self.starts = doc.tokens.starts
+        self.ends = doc.tokens.ends
         self.keys: list[str | None] = [*doc.keys, None]
         self.spans: list[EntitySpan] = []
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
-        start = self.tokens[start_tok].start
-        end = self.tokens[end_tok - 1].end
+        start = self.starts[start_tok]
+        end = self.ends[end_tok - 1]
         self.keys[start_tok:end_tok] = [None] * (end_tok - start_tok)
         self.spans.append(
             EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
@@ -251,7 +252,7 @@ class _Tagger:
         keys = self.keys
         numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
         runs = [0] * len(keys)
-        for i in range(len(self.tokens) - 1, -1, -1):
+        for i in range(len(self.texts) - 1, -1, -1):
             if keys[i] in numbers:
                 runs[i] = runs[i + 1] + 1
         return runs
@@ -282,8 +283,8 @@ class _Tagger:
                 length = 2
                 k = j + 1
                 if (
-                    k < len(self.tokens)
-                    and self.tokens[k].text == ","
+                    k < len(self.texts)
+                    and self.texts[k] == ","
                     and _is_year(keys[k + 1])
                 ):
                     length = (k + 1 - i) + 1  # through the year token
@@ -309,7 +310,7 @@ class _Tagger:
         keys = self.keys
         runs = self.number_runs()
         i = 0
-        while i < len(self.tokens):
+        while i < len(self.texts):
             if runs[i] or keys[i] in _DATE_START_WORDS:
                 length = self._match_date_at(i, runs[i])
                 if length:
@@ -331,7 +332,7 @@ class _Tagger:
     def run_cardinals(self) -> None:
         runs = self.number_runs()
         i = 0
-        while i < len(self.tokens):
+        while i < len(self.texts):
             if runs[i]:
                 length = runs[i]
                 self.claim(i, i + length, EntityLabel.CARDINAL)

@@ -207,14 +207,9 @@ class PowerMatcher:
 
     def find(self, doc: Document) -> Iterator[PowerMatch]:
         """Matches over the document's tokens, in order, non-overlapping."""
-        tokens = doc.tokens
+        starts, ends = doc.tokens.starts, doc.tokens.ends
         for start, stop, (term, category) in self._phrases.find(doc.keys):
-            yield PowerMatch(
-                term=term,
-                category=category,
-                start=tokens[start].start,
-                end=tokens[stop - 1].end,
-            )
+            yield PowerMatch(term=term, category=category, start=starts[start], end=ends[stop - 1])
 
 
 def build_matcher(lexicon: PowerLexicon) -> PowerMatcher:

@@ -16,6 +16,15 @@ are deliberately small, explicit, and heavily tested:
 * syllables come from vowel-group counting with an exceptions table and
   a silent-e rule.
 
+A document's tokens are columns, not objects: ``Tokens`` keeps the token
+texts, start and end offsets and word flags in a list, two
+``array('q')`` and a ``bytearray``, and builds a ``Token`` only when it
+is indexed or iterated; the pipeline reads the columns.  ``tokenize``
+fills them from regex scans: the engine finds every token of ASCII text,
+and only a whitespace-free chunk that holds a non-ASCII character is
+read character by character.  ``split_sentences`` visits only the runs
+of sentence terminators.
+
 Text work is done once and shared.  ``Document.keys`` holds the
 normalized matching key of every word token (``None`` for non-word
 tokens), computed on first use with one ``normalize`` call per distinct
@@ -31,13 +40,15 @@ part of the complex-word rule is applied per occurrence, in
 
 from __future__ import annotations
 
+import operator
 import re
 import unicodedata
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from itertools import compress, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -45,6 +56,7 @@ from .errors import DataFileError, InputTextError
 
 __all__ = [
     "Token",
+    "Tokens",
     "TextStats",
     "Document",
     "WordTable",
@@ -65,9 +77,10 @@ _HYPHEN = "-"
 # A byte-order mark that an editor left at the start of a file.
 _BOM = "\ufeff"
 
-# Sentence terminators and the closing marks allowed to trail them.
-_TERMINATORS = ".!?"
-_CLOSERS = "\"'’”)»]"
+# A run of sentence terminators and the closing marks allowed to trail it.
+_TERMINATOR_RUN = re.compile(r"""[.!?]+["'’”)»\]]*""")
+# ``\s`` is exactly ``str.isspace``.
+_SPACE_RUN = re.compile(r"\s*")
 
 # Abbreviations that must not end a sentence even when followed by
 # whitespace and a capital ("Dr. King", "etc. More").  Compared against
@@ -77,6 +90,7 @@ _ABBREVIATIONS = frozenset(
 )
 
 _VOWELS = frozenset("aeiouy")
+_VOWEL_RUN = re.compile("[aeiouy]+")
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +106,8 @@ class Token:
     kept as non-word tokens so the token stream can reproduce the input).
 
     A value class: tokens compare and hash by their four fields and must
-    not be modified after construction.  It is slotted (no per-instance
-    dict) because a document holds one per token.
+    not be modified after construction.  A document stores no ``Token``:
+    its ``Tokens`` builds one each time it is indexed or iterated.
     """
 
     __slots__ = ("text", "start", "end", "is_word")
@@ -124,6 +138,57 @@ class Token:
         )
 
 
+class Tokens(Sequence[Token]):
+    """A document's tokens, stored as four parallel columns.
+
+    ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``is_word[i]`` are the
+    fields of token i: a list of strings, two ``array('q')`` of offsets
+    and a ``bytearray`` of 0/1 flags.  No ``Token`` object is stored:
+    indexing and iteration build each one on demand, and a slice is a
+    tuple of them.  The columns are what the pipeline reads.  Equal to a
+    ``Tokens``, list or tuple holding equal tokens in the same order;
+    must not be modified once built.
+    """
+
+    __slots__ = ("texts", "starts", "ends", "is_word")
+
+    def __init__(self) -> None:
+        self.texts: list[str] = []
+        self.starts = array("q")
+        self.ends = array("q")
+        self.is_word = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self.texts))[index]))
+        i = range(len(self.texts))[index]  # negative indices, IndexError
+        return Token(self.texts[i], self.starts[i], self.ends[i], bool(self.is_word[i]))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(Token, self.texts, self.starts, self.ends, map(bool, self.is_word))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Tokens):
+            return (
+                self.texts == other.texts
+                and self.starts == other.starts
+                and self.ends == other.ends
+                and self.is_word == other.is_word
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self.texts) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Tokens({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class TextStats:
     """Surface counts for a document, the raw material of readability."""
@@ -144,12 +209,15 @@ class Document:
 
     Sentence spans are ``(start, end)`` offsets into ``raw``; tokens are
     in reading order and each lies inside exactly one sentence span.
+    ``tokens`` is a ``Tokens``: the texts, offsets and word flags of the
+    tokens as parallel columns, which the analysis stages read directly;
+    ``Token`` objects are built only when it is indexed or iterated.
     """
 
     doc_id: str
     raw: str
     sentences: tuple[tuple[int, int], ...]
-    tokens: tuple[Token, ...]
+    tokens: Tokens
 
     @property
     def word_tokens(self) -> tuple[Token, ...]:
@@ -163,17 +231,10 @@ class Document:
         Computed on first use, once per distinct token text; tokens with
         equal text share one key string.
         """
-        memo: dict[str, str] = {}
-        keys: list[str | None] = []
-        for tok in self.tokens:
-            if not tok.is_word:
-                keys.append(None)
-                continue
-            key = memo.get(tok.text)
-            if key is None:
-                key = memo[tok.text] = normalize(tok.text)
-            keys.append(key)
-        return tuple(keys)
+        tokens = self.tokens
+        # A non-word text is never a word text, so it looks up ``None``.
+        memo = {text: normalize(text) for text in set(compress(tokens.texts, tokens.is_word))}
+        return tuple(map(memo.get, tokens.texts))
 
     def sentence_text(self, index: int) -> str:
         start, end = self.sentences[index]
@@ -243,7 +304,7 @@ def tokenizes_as_words(phrase: str) -> bool:
     """Whether each space-separated word of ``phrase`` tokenizes to exactly
     one word token; a phrase for which this fails can never match."""
     tokens = tokenize(phrase)
-    return len(tokens) == phrase.count(" ") + 1 and all(tok.is_word for tok in tokens)
+    return len(tokens) == phrase.count(" ") + 1 and all(tokens.is_word)
 
 
 # ---------------------------------------------------------------------------
@@ -284,55 +345,32 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     letter or digit next.  The word before the terminator must not be a
     known abbreviation.  Text without any terminator is one sentence.
     Spans cover every non-whitespace character but a leading byte-order
-    mark, and never overlap.
+    mark, and never overlap.  Only the terminator runs are visited; the
+    regex engine skips the text between them.
     """
     n = len(text)
     spans: list[tuple[int, int]] = []
+    skip_space = _SPACE_RUN.match
     # Start of the current sentence: first non-whitespace char not yet consumed.
-    cursor = 0
-
-    def _skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    cursor = _skip_ws(1 if text.startswith(_BOM) else 0)
+    cursor = skip_space(text, 1 if text.startswith(_BOM) else 0).end()
     if cursor == n:
         return []
 
-    i = cursor
-    while i < n:
-        if text[i] in _TERMINATORS:
-            run_start = i
-            while i < n and text[i] in _TERMINATORS:
-                i += 1
-            after = i
-            while after < n and text[after] in _CLOSERS:
-                after += 1
-            next_char = _skip_ws(after)
-            boundary = (
-                next_char > after  # at least one whitespace char follows
-                and next_char < n
-                and (text[next_char].isupper() or text[next_char].isdigit())
-            )
-            if boundary:
-                word = _preceding_word(text, run_start)
-                if word.lower() in _ABBREVIATIONS:
-                    boundary = False
-            if boundary:
-                spans.append((cursor, after))
-                cursor = next_char
-                i = next_char
-                continue
-            i = after if after > i else i
-        else:
-            i += 1
+    for run in _TERMINATOR_RUN.finditer(text, cursor):
+        after = run.end()
+        next_char = skip_space(text, after).end()
+        if (
+            next_char > after  # at least one whitespace char follows
+            and next_char < n
+            and (text[next_char].isupper() or text[next_char].isdigit())
+            and _preceding_word(text, run.start()).lower() not in _ABBREVIATIONS
+        ):
+            spans.append((cursor, after))
+            cursor = next_char
 
     # Whatever remains (including text with no terminator at all) is the
     # final sentence; trim trailing whitespace from the span.
-    tail_end = n
-    while tail_end > cursor and text[tail_end - 1].isspace():
-        tail_end -= 1
+    tail_end = len(text.rstrip())
     if tail_end > cursor:
         spans.append((cursor, tail_end))
     return spans
@@ -353,11 +391,24 @@ def _is_mark(ch: str) -> bool:
     return unicodedata.category(ch)[0] == "M"
 
 
-# Whitespace-free chunks; ``\S`` is exactly ``not str.isspace()``.
-_CHUNK = re.compile(r"\S+")
+# The tokens of ASCII text, one per match: in ASCII, letters and digits
+# are exactly ``[A-Za-z0-9]``, so group 1 is a word and a match without a
+# group a run of punctuation.  ``\s`` is exactly ``str.isspace``.
+_ASCII_TOKEN = re.compile(r"([A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*)|[^\sA-Za-z0-9]+")
+# A whole whitespace-free chunk that holds a non-ASCII character, matched
+# from the chunk's start only (a scan that starts past a leading
+# byte-order mark starts a chunk too), so each chunk is scanned twice at
+# most.
+_NON_ASCII_CHUNK = re.compile(r"(?:(?<!\S)|(?<=\A\ufeff))\S*[^\s\x00-\x7f]\S*")
+# Matches read per batch: each batch fills the columns in C-level loops.
+# Match objects are tracked by the garbage collector, so a batch stays
+# well below its default first-generation threshold (700 allocations);
+# a larger one triggers a collection at almost every batch.
+_BATCH = 256
+_LASTINDEX = operator.attrgetter("lastindex")
 
 
-def tokenize(text: str, *, offset: int = 0) -> list[Token]:
+def tokenize(text: str, *, offset: int = 0) -> Tokens:
     """Tokens of ``text``, offsets shifted by ``offset``.
 
     Word tokens are maximal runs of letters/digits and the combining
@@ -366,22 +417,45 @@ def tokenize(text: str, *, offset: int = 0) -> list[Token]:
     any run of non-whitespace characters becomes one non-word token.
     A leading byte-order mark is skipped.  Joining token texts with the
     whitespace between them reproduces the rest of the input exactly.
+
+    The regex engine finds the tokens of ASCII text; only the chunks
+    that hold a non-ASCII character are read character by character.
     """
-    tokens: list[Token] = []
-    for match in _CHUNK.finditer(text, 1 if text.startswith(_BOM) else 0):
-        chunk = match.group()
-        start = offset + match.start()
-        if chunk.isalpha():
-            tokens.append(Token(chunk, start, start + len(chunk), True))
-        else:
-            _tokenize_chunk(chunk, start, tokens)
+    tokens = Tokens()
+    pos = 1 if text.startswith(_BOM) else 0
+    if not text.isascii():
+        for chunk in _NON_ASCII_CHUNK.finditer(text, pos):
+            _tokenize_ascii(text, pos, chunk.start(), tokens)
+            _tokenize_chunk(chunk.group(), chunk.start(), tokens)
+            pos = chunk.end()
+    _tokenize_ascii(text, pos, len(text), tokens)
+    if offset:
+        tokens.starts = array("q", [start + offset for start in tokens.starts])
+        tokens.ends = array("q", [end + offset for end in tokens.ends])
     return tokens
 
 
-def _tokenize_chunk(chunk: str, offset: int, tokens: list[Token]) -> None:
+def _tokenize_ascii(text: str, pos: int, endpos: int, tokens: Tokens) -> None:
+    """Append the tokens of ``text[pos:endpos]``, which is ASCII."""
+    matches = _ASCII_TOKEN.finditer(text, pos, endpos)
+    while batch := list(islice(matches, _BATCH)):
+        tokens.texts += map(re.Match.group, batch)
+        tokens.starts.extend(map(re.Match.start, batch))
+        tokens.ends.extend(map(re.Match.end, batch))
+        tokens.is_word.extend(map(bool, map(_LASTINDEX, batch)))
+
+
+def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens) -> None:
     """Append the tokens of one whitespace-free chunk.  No token crosses
     whitespace, so each chunk tokenizes independently of its neighbours."""
+    texts, starts, ends, is_word = tokens.texts, tokens.starts, tokens.ends, tokens.is_word
     n = len(chunk)
+    if chunk.isalpha():
+        texts.append(chunk)
+        starts.append(offset)
+        ends.append(offset + n)
+        is_word.append(True)
+        return
     i = 0
     while i < n:
         if _is_word_char(chunk[i]):
@@ -400,12 +474,15 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: list[Token]) -> None:
                     j += 1
                 else:
                     break
-            tokens.append(Token(chunk[i:j], offset + i, offset + j, True))
+            is_word.append(True)
         else:
             j = i + 1
             while j < n and not _is_word_char(chunk[j]):
                 j += 1
-            tokens.append(Token(chunk[i:j], offset + i, offset + j, False))
+            is_word.append(False)
+        texts.append(chunk[i:j])
+        starts.append(offset + i)
+        ends.append(offset + j)
         i = j
 
 
@@ -414,28 +491,19 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: list[Token]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _vowel_groups(part: str) -> list[tuple[int, int]]:
-    """Maximal runs of vowels (a, e, i, o, u, y) in a lowercase part."""
-    groups: list[tuple[int, int]] = []
-    i = 0
-    n = len(part)
-    while i < n:
-        if part[i] in _VOWELS:
-            j = i
-            while j < n and part[j] in _VOWELS:
-                j += 1
-            groups.append((i, j))
-            i = j
-        else:
-            i += 1
-    return groups
+def _vowel_runs(part: str) -> int:
+    """Number of maximal runs of vowels (a, e, i, o, u, y) in a lowercase
+    part, counted by the regex engine."""
+    return _VOWEL_RUN.subn("", part)[1]
 
 
 def _part_syllables(part: str) -> int:
     """Syllables of one hyphen-free lowercase part (may be zero)."""
-    # Digit runs each count as one syllable; letters around them are
-    # counted by vowel groups without silent-e adjustment.
-    if any(ch.isdigit() for ch in part):
+    if part.isalpha():
+        letters = part
+    elif any(ch.isdigit() for ch in part):
+        # Digit runs each count as one syllable; letters around them are
+        # counted by vowel groups without silent-e adjustment.
         count = 0
         in_digits = False
         for ch in part:
@@ -445,14 +513,12 @@ def _part_syllables(part: str) -> int:
                     in_digits = True
             else:
                 in_digits = False
-        count += len(_vowel_groups("".join(ch for ch in part if not ch.isdigit())))
-        return count
-
-    letters = "".join(ch for ch in part if ch.isalpha())
-    if not letters:
-        return 0
-    groups = _vowel_groups(letters)
-    count = len(groups)
+        return count + _vowel_runs("".join(ch for ch in part if not ch.isdigit()))
+    else:
+        letters = "".join(ch for ch in part if ch.isalpha())
+        if not letters:
+            return 0
+    count = _vowel_runs(letters)
     if count > 1 and letters.endswith("e"):
         if letters.endswith("le") and len(letters) >= 3 and letters[-3] not in _VOWELS:
             pass  # "-ble", "-tle", ... : the final e is pronounced
@@ -487,14 +553,16 @@ def count_syllables(word: str, exceptions: Mapping[str, int] | None = None) -> i
 def build_document(doc_id: str, text: str) -> Document:
     """Split ``text`` into sentences and tokens.
 
-    Tokenization runs per sentence span, so every token lies inside its
-    sentence and offsets index into the original string.
+    Sentence spans break only at whitespace and no token crosses it, so
+    one ``tokenize`` call over the text from the first sentence's start
+    gives the tokens of every sentence, in order, with offsets into the
+    original string.  Starting there skips a byte-order mark that opens
+    the first sentence, as tokenizing that sentence on its own would.
     """
     spans = split_sentences(text)
-    tokens: list[Token] = []
-    for start, end in spans:
-        tokens.extend(tokenize(text[start:end], offset=start))
-    return Document(doc_id=doc_id, raw=text, sentences=tuple(spans), tokens=tuple(tokens))
+    first = spans[0][0] if spans else 0
+    tokens = tokenize(text[first:], offset=first)
+    return Document(doc_id=doc_id, raw=text, sentences=tuple(spans), tokens=tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +589,11 @@ def _word_type(
     """
     # Counted on the NFC form: decomposed Hangul jamo are letters too.
     composed = unicodedata.normalize("NFC", text)
-    letters = sum(1 for ch in composed if ch.isalpha())
-    characters = sum(1 for ch in composed if ch.isalpha() or ch.isdigit())
+    if composed.isalpha():
+        letters = characters = len(composed)
+    else:
+        letters = sum(1 for ch in composed if ch.isalpha())
+        characters = sum(1 for ch in composed if ch.isalpha() or ch.isdigit())
     syllables = count_syllables(text, exceptions)
     lower = normalize(text)
 
@@ -544,16 +615,15 @@ def _word_type(
 def _sentence_initial_texts(doc: Document) -> Counter[str]:
     """Occurrence counts of the texts of each sentence's first word token."""
     tokens = doc.tokens
-    n = len(tokens)
+    texts, starts, is_word = tokens.texts, tokens.starts, tokens.is_word
     counts: Counter[str] = Counter()
-    start_of = attrgetter("start")
     k = 0
     for start, end in doc.sentences:
-        k = bisect_left(tokens, start, lo=k, key=start_of)
-        while k < n and tokens[k].start < end and not tokens[k].is_word:
-            k += 1
-        if k < n and tokens[k].start < end:
-            counts[tokens[k].text] += 1
+        k = is_word.find(1, bisect_left(starts, start, k))
+        if k < 0:
+            break
+        if starts[k] < end:
+            counts[texts[k]] += 1
     return counts
 
 
@@ -636,7 +706,7 @@ def compute_stats(
     else:
         table = WordTable(familiar_words, exceptions)
     measure = table.measure
-    occurrences = Counter(tok.text for tok in doc.tokens if tok.is_word)
+    occurrences = Counter(compress(doc.tokens.texts, doc.tokens.is_word))
     sentence_initial = _sentence_initial_texts(doc)
 
     word_count = 0

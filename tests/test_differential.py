@@ -1,12 +1,14 @@
 """Differential property tests: the document core against per-occurrence
 reference implementations.
 
-``reference_tokenize`` and ``reference_compute_stats`` are copies of the
-character-by-character tokenizer and the per-occurrence statistics that
-``tokenize`` and the per-type ``compute_stats`` replaced; the tokenizer
-copy has since gained the combining-mark rule (a mark that follows a word
-character extends the word) and skips a leading byte-order mark.  Both
-must agree with them on every input.
+``reference_tokenize``, ``reference_split_sentences`` and
+``reference_compute_stats`` are copies of the character-by-character
+tokenizer and sentence splitter and of the per-occurrence statistics that
+the regex-driven ``tokenize`` and ``split_sentences`` and the per-type
+``compute_stats`` replaced; the tokenizer copy has since gained the
+combining-mark rule (a mark that follows a word character extends the
+word) and skips a leading byte-order mark.  The library must agree with
+them on every input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import string
 import unicodedata
 from typing import Iterable, Mapping
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powertext.textcore import (
@@ -27,6 +29,7 @@ from powertext.textcore import (
     compute_stats,
     count_syllables,
     normalize,
+    split_sentences,
     tokenize,
 )
 
@@ -79,6 +82,77 @@ def reference_tokenize(text: str, *, offset: int = 0) -> list[Token]:
             tokens.append(Token(text[i:j], offset + i, offset + j, False))
         i = j
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference sentence splitter (verbatim copy of the per-character version)
+# ---------------------------------------------------------------------------
+
+_TERMINATORS = ".!?"
+_CLOSERS = "\"'’”)»]"
+_ABBREVIATIONS = frozenset(
+    {"mr", "mrs", "dr", "st", "vs", "etc", "jr", "sr", "prof", "inc", "ltd", "co", "e.g", "i.e"}
+)
+
+
+def _preceding_word(text: str, pos: int) -> str:
+    i = pos
+    while i > 0 and (text[i - 1].isalpha() or text[i - 1] == "." or _is_mark(text[i - 1])):
+        i -= 1
+    return text[i:pos].strip(".")
+
+
+def reference_split_sentences(text: str) -> list[tuple[int, int]]:
+    n = len(text)
+    spans: list[tuple[int, int]] = []
+    # Start of the current sentence: first non-whitespace char not yet consumed.
+    cursor = 0
+
+    def _skip_ws(i: int) -> int:
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    cursor = _skip_ws(1 if text.startswith("\ufeff") else 0)
+    if cursor == n:
+        return []
+
+    i = cursor
+    while i < n:
+        if text[i] in _TERMINATORS:
+            run_start = i
+            while i < n and text[i] in _TERMINATORS:
+                i += 1
+            after = i
+            while after < n and text[after] in _CLOSERS:
+                after += 1
+            next_char = _skip_ws(after)
+            boundary = (
+                next_char > after  # at least one whitespace char follows
+                and next_char < n
+                and (text[next_char].isupper() or text[next_char].isdigit())
+            )
+            if boundary:
+                word = _preceding_word(text, run_start)
+                if word.lower() in _ABBREVIATIONS:
+                    boundary = False
+            if boundary:
+                spans.append((cursor, after))
+                cursor = next_char
+                i = next_char
+                continue
+            i = after if after > i else i
+        else:
+            i += 1
+
+    # Whatever remains (including text with no terminator at all) is the
+    # final sentence; trim trailing whitespace from the span.
+    tail_end = n
+    while tail_end > cursor and text[tail_end - 1].isspace():
+        tail_end -= 1
+    if tail_end > cursor:
+        spans.append((cursor, tail_end))
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +289,26 @@ def _prose(draw) -> str:
 
 _texts = st.one_of(st.text(alphabet=_ALPHABET, max_size=80), _prose())
 
+# Sentence-boundary material: terminators and closers, whitespace, capitals
+# and digits (which may open a sentence), letters and marks (which may
+# end an abbreviation), the byte-order mark, and whole abbreviations.
+_SENTENCE_PIECES = st.sampled_from(
+    list(".!?.!?\"'’”)»]" " \t\n\u00a0\u2003" "AZÉ09²aez\u0301\ufeff")
+    + ["Dr.", "dr.", "e.g.", "E.g.", "i.e.", "etc.", "Mr.", " Dr. ", "...", "?!"]
+)
+_sentence_texts = st.lists(_SENTENCE_PIECES, max_size=40).map("".join)
+
+# Whitespace-separated chunks, each ASCII or holding a non-ASCII character,
+# so that ASCII and non-ASCII stretches of one text meet in every order.
+_ascii_chunks = st.text(alphabet="abAZ09'-_.,!?()\"", min_size=1, max_size=8)
+_non_ascii_chunks = st.text(
+    alphabet="ab09'-’‐—é\u0301½²\ufeffİß", min_size=1, max_size=8
+).filter(lambda chunk: not chunk.isascii())
+_spaces = st.text(alphabet=" \t\n\u00a0\u2003", min_size=1, max_size=3)
+_mixed_texts = st.lists(
+    st.tuples(st.one_of(_ascii_chunks, _non_ascii_chunks), _spaces), max_size=12
+).map(lambda parts: "".join(chunk + space for chunk, space in parts))
+
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -231,6 +325,33 @@ def test_tokenize_equals_reference(text, offset):
 @given(text=st.text(max_size=60))
 def test_tokenize_equals_reference_on_any_unicode(text):
     assert tokenize(text) == reference_tokenize(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_mixed_texts, offset=st.integers(0, 1000))
+@example(text="\ufeff,²", offset=0)
+@example(text="\ufeff\ufeff,² x", offset=0)
+@example(text="it’s 1½ m² — ok", offset=7)
+def test_tokenize_equals_reference_on_mixed_ascii_and_non_ascii_chunks(text, offset):
+    assert tokenize(text, offset=offset) == reference_tokenize(text, offset=offset)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(_sentence_texts, _texts))
+@example(text="Dr. King spoke. He left!\u201d Then 3 more.")
+@example(text="\ufeff \ufeffA. B")
+def test_split_sentences_equals_reference(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_sentence_texts, _mixed_texts, _texts))
+@example(text="\ufeff\ufeffA. B")
+@example(text="  \ufeff,² Hi. There")
+def test_document_tokens_equal_per_sentence_tokenize(text):
+    doc = build_document("t", text)
+    expected = [tok for start, end in doc.sentences for tok in tokenize(text[start:end], offset=start)]
+    assert doc.tokens == expected
 
 
 @settings(max_examples=300, deadline=None)

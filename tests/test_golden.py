@@ -18,6 +18,15 @@ per-genre aggregate (``corpus.json``, ``corpus.md``).
 a one-sentence text, on which readability is unavailable
 (``one-sentence.md``, all sections; ``one-sentence.power.md``).
 
+``tests/golden/analyze/non-ascii.json`` and
+``tests/golden/markdown/analyze/non-ascii.md`` are the stdout of
+
+    powertext analyze tests/fixtures/non-ascii.txt [--format structured]
+
+a text whose every sentence takes the tokenizer's non-ASCII path: a
+leading byte-order mark, curly quotes and apostrophes, accents in NFD
+form, ``½``, ``²`` and em dashes.  The sample corpus is pure ASCII.
+
 A change that means to alter these bytes regenerates them with those
 commands and says which bytes changed and why.
 """
@@ -34,6 +43,7 @@ GOLDEN_NAMES = sorted(path.name for path in GOLDEN_DIR.glob("*.json"))
 MARKDOWN_DIR = GOLDEN_DIR / "markdown"
 MARKDOWN_NAMES = sorted(path.name for path in MARKDOWN_DIR.glob("*.md"))
 ONE_SENTENCE = Path(__file__).parent / "fixtures" / "one-sentence.txt"
+NON_ASCII = Path(__file__).parent / "fixtures" / "non-ascii.txt"
 
 
 def _corpus_run(out: Path, *flags: str) -> Path:
@@ -80,3 +90,17 @@ def test_analyze_markdown_matches_golden_bytes(capsysbinary, golden, flags):
     assert main(["analyze", str(ONE_SENTENCE), *flags]) == 0
     expected = (MARKDOWN_DIR / "analyze" / golden).read_bytes()
     assert capsysbinary.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "golden, flags",
+    [
+        (GOLDEN_DIR / "analyze" / "non-ascii.json", ["--format", "structured"]),
+        (MARKDOWN_DIR / "analyze" / "non-ascii.md", []),
+    ],
+    ids=["structured", "markdown"],
+)
+def test_non_ascii_analyze_matches_golden_bytes(capsysbinary, golden, flags):
+    assert NON_ASCII.read_bytes().startswith("\ufeff".encode())
+    assert main(["analyze", str(NON_ASCII), *flags]) == 0
+    assert capsysbinary.readouterr().out == golden.read_bytes()

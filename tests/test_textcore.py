@@ -3,12 +3,16 @@ counting, and surface statistics."""
 
 import io
 import random
+import time
+from array import array
 
 import pytest
 
+from powertext import textcore
 from powertext.errors import DataFileError, InputTextError
 from powertext.textcore import (
     Token,
+    Tokens,
     WordTable,
     build_document,
     compute_stats,
@@ -132,6 +136,69 @@ def test_token_is_a_value_with_a_checked_span():
     assert repr(token) == "Token(text='word', start=3, end=7, is_word=True)"
     with pytest.raises(ValueError):
         Token("", 5, 5, False)
+
+
+def test_tokens_hold_columns_and_build_token_views_on_demand():
+    tokens = tokenize("Hi, you.")
+    assert isinstance(tokens, Tokens)
+    assert tokens.texts == ["Hi", ",", "you", "."]
+    assert tokens.starts == array("q", [0, 2, 4, 7])
+    assert tokens.ends == array("q", [2, 3, 7, 8])
+    assert tokens.is_word == bytearray([1, 0, 1, 0])
+    assert len(tokens) == 4
+    assert tokens[0] == Token("Hi", 0, 2, True)
+    assert tokens[0].is_word is True and tokens[1].is_word is False
+    assert tokens[-1] == Token(".", 7, 8, False)
+    assert tokens[-4] == tokens[0]
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            tokens[index]
+    assert tokens[1:3] == (Token(",", 2, 3, False), Token("you", 4, 7, True))
+    assert tokens[::-2] == (tokens[3], tokens[1])
+    assert tokens[5:] == ()
+    assert list(tokens) == [tokens[i] for i in range(4)]
+    assert Token("you", 4, 7, True) in tokens
+    assert repr(tokenize("a")) == "Tokens([Token(text='a', start=0, end=1, is_word=True)])"
+
+
+def test_tokens_compare_equal_to_lists_and_tuples_of_equal_tokens():
+    tokens = tokenize("Hi, you.")
+    assert tokens == list(tokens) and list(tokens) == tokens
+    assert tokens == tuple(tokens) and tuple(tokens) == tokens
+    assert tokens == tokenize("Hi, you.")
+    assert tokens != tokenize("Hi, you!")
+    assert tokens != list(tokens)[:-1]
+    assert tokens != [*list(tokens)[:-1], (".", 7, 8, False)]
+    assert tokens != "Hi, you."
+    assert tokenize("") == () and tokenize("") == [] and not tokenize("  ")
+    assert tokenize("a", offset=3) == [Token("a", 3, 4, True)]
+
+
+def test_tokens_hash_like_the_tuple_of_their_tokens():
+    tokens = tokenize("Hi, you.")
+    assert hash(tokens) == hash(tuple(tokens)) == hash(tokenize("Hi, you."))
+    assert len({tokens, tokenize("Hi, you."), tuple(tokens)}) == 1
+    assert hash(build_document("d", "Hi, you.")) == hash(build_document("d", "Hi, you."))
+
+
+def test_build_document_calls_each_traced_stage_once_by_module_name(monkeypatch):
+    # The benchmark's tracer times ``textcore.split_sentences`` and
+    # ``textcore.tokenize`` by replacing those module attributes; a
+    # build_document that bypassed them would read as zero time.
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("split_sentences", "tokenize"):
+        monkeypatch.setattr(textcore, name, counting(name, getattr(textcore, name)))
+    doc = build_document("d", "One sentence. Two sentences! And three?")
+    assert sorted(calls) == ["split_sentences", "tokenize"]
+    assert len(doc.sentences) == 3 and len(doc.tokens) == 9
 
 
 def test_tokenize_words_and_punctuation():
@@ -310,6 +377,29 @@ def test_build_document_empty_text():
     doc = build_document("empty", "")
     assert doc.sentences == ()
     assert doc.tokens == ()
+
+
+MAX_LONG_WORD_SECONDS = 5.0
+
+
+@pytest.mark.parametrize("unit", ["ab", "ane\u0301"], ids=["ascii", "nfd"])
+def test_one_long_word_is_analysed_in_linear_time(unit):
+    # One whitespace-free word: doubling its length must not much more
+    # than double the time of build_document plus compute_stats.
+    def best_seconds(repeats: int) -> float:
+        text = unit * repeats
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            stats = compute_stats(build_document("long", text), frozenset())
+            times.append(time.perf_counter() - started)
+            assert stats.word_count == 1 and stats.syllable_count == repeats
+        return min(times)
+
+    small = best_seconds(50_000)
+    large = best_seconds(100_000)
+    assert large < 3 * small + 0.05, f"{small:.3f}s, then {large:.3f}s at twice the size"
+    assert large < MAX_LONG_WORD_SECONDS
 
 
 # ---------------------------------------------------------------------------
