@@ -11,9 +11,10 @@ means need, so its memory does not grow with the corpus and each
 report file appears as soon as its document is done.  The summary is
 written last.
 
-Exit codes: 0 success, 1 usage error, 2 data-file error, 3 input-text
-error.  Usage errors, bad manifest or data files and a missing corpus
-file are found before ``--out`` is created.  An error found only by
+Exit codes: 0 success, 1 usage error or an ``--out`` directory or
+report file that cannot be created or written, 2 data-file error, 3
+input-text error.  Usage errors, bad manifest or data files and a
+missing corpus file are found before ``--out`` is created.  An error found only by
 reading a corpus file (unreadable: 2; an unterminated ebook marker
 pair or an empty cleaned text: 3), or a section the genre means find
 for some documents of a genre but not for others (3), can leave the
@@ -192,6 +193,20 @@ def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
     return 0
 
 
+class _CannotWrite(Exception):
+    """``--out`` or a report file in it could not be created or written."""
+
+    def __init__(self, path: Path, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_out(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise _CannotWrite(path, exc) from exc
+
+
 class _AggregateRow(NamedTuple):
     """What ``aggregate`` reads of one report, so the report and its
     document can be dropped as soon as the report is written."""
@@ -206,7 +221,10 @@ def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
     resources = load_resources(config)
     documents = iter_corpus(manifest)  # checks every file before any read
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _CannotWrite(args.out, exc) from exc
     rows: list[tuple[_AggregateRow, str]] = []
     for item in documents:
         report = analyze(
@@ -214,7 +232,7 @@ def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
         )
         if args.out is not None:
             extension, data = _render(report, args.format)
-            (args.out / f"{report.doc_id}.{extension}").write_bytes(data)
+            _write_out(args.out / f"{report.doc_id}.{extension}", data)
         row = _AggregateRow(report.readability, report.power_distribution, report.sentiment)
         rows.append((row, item.genre))
 
@@ -222,7 +240,7 @@ def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
     if args.out is None:
         _write_stdout(data)
     else:
-        (args.out / f"{SUMMARY_ID}.{extension}").write_bytes(data)
+        _write_out(args.out / f"{SUMMARY_ID}.{extension}", data)
     return 0
 
 
@@ -241,6 +259,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputTextError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 3
+    except _CannotWrite as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,13 +11,16 @@ recall, never a guess.
 Fixed phrases (the date and time phrases, the gazetteer surfaces) all
 match through ``textcore.PhraseMatcher``: the tagger's key list holds
 ``None`` for every token a pass has claimed, so later passes never
-match across a claim.
+match across a claim.  Each pass visits only the positions where a
+match can start (number tokens, date start words, first words of a
+phrase), found by C-level scans of the key list, not every token.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -228,6 +231,11 @@ class _Tagger:
     ``keys[i]`` is token i's normalized key while it is a word token no
     pass has claimed, and ``None`` otherwise; a trailing ``None`` sentinel
     ends every look-ahead at the last token without a bounds check.
+    ``date_starts`` lists the tokens that can start a date (a number
+    token or a date start word) and ``number_positions`` the number
+    tokens among them, found by one C-level scan of the keys before any
+    claim; the passes visit only candidate positions like these, never
+    every token.
     """
 
     def __init__(self, doc: Document):
@@ -237,6 +245,11 @@ class _Tagger:
         self.ends = doc.tokens.ends
         self.keys: list[str | None] = [*doc.keys, None]
         self.spans: list[EntitySpan] = []
+        keys = self.keys
+        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
+        date_words = numbers | _DATE_START_WORDS
+        self.date_starts = list(compress(count(), map(date_words.__contains__, keys)))
+        self.number_positions = [i for i in self.date_starts if keys[i] in numbers]
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
         start = self.starts[start_tok]
@@ -248,12 +261,12 @@ class _Tagger:
 
     def number_runs(self) -> list[int]:
         """``runs[i]``: how many unclaimed number tokens follow in a row from
-        token i (0 when token i is not one), computed right to left."""
+        token i (0 when token i is not one), filled right to left at the
+        number tokens only; a claimed one has a ``None`` key."""
         keys = self.keys
-        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
         runs = [0] * len(keys)
-        for i in range(len(self.texts) - 1, -1, -1):
-            if keys[i] in numbers:
+        for i in reversed(self.number_positions):
+            if keys[i] is not None:
                 runs[i] = runs[i + 1] + 1
         return runs
 
@@ -306,39 +319,35 @@ class _Tagger:
 
     def run_dates(self) -> None:
         # Claims cover only tokens before the scan position, and a run
-        # looks only ahead, so runs computed up front stay valid.
-        keys = self.keys
+        # looks only ahead, so candidates and runs computed up front stay
+        # valid.
         runs = self.number_runs()
-        i = 0
-        while i < len(self.texts):
-            if runs[i] or keys[i] in _DATE_START_WORDS:
-                length = self._match_date_at(i, runs[i])
-                if length:
-                    # A date claim may include one comma token inside
-                    # (month day, year): claim the token range wholesale.
-                    self.claim(i, i + length, EntityLabel.DATE)
-                    i += length
-                    continue
-            i += 1
+        resume = 0
+        for i in self.date_starts:
+            if i < resume:
+                continue
+            length = self._match_date_at(i, runs[i])
+            if length:
+                # A date claim may include one comma token inside
+                # (month day, year): claim the token range wholesale.
+                resume = i + length
+                self.claim(i, resume, EntityLabel.DATE)
 
     def run_phrases(self, matcher: PhraseMatcher) -> None:
         """Claim every leftmost-longest phrase of ``matcher`` among the
         unclaimed tokens, labelled with the phrase's value."""
-        # ``find`` resumes at each match's stop, so masking the match's
-        # own keys while it runs changes nothing it has yet to read.
+        # ``find`` reads no key past a match's start before yielding it,
+        # so masking the match's own keys while it runs is safe.
         for start, stop, label in matcher.find(self.keys):
             self.claim(start, stop, label)
 
     def run_cardinals(self) -> None:
         runs = self.number_runs()
-        i = 0
-        while i < len(self.texts):
-            if runs[i]:
-                length = runs[i]
-                self.claim(i, i + length, EntityLabel.CARDINAL)
-                i += length
-            else:
-                i += 1
+        resume = 0
+        for i in compress(count(), runs):
+            if i >= resume:
+                resume = i + runs[i]
+                self.claim(i, resume, EntityLabel.CARDINAL)
 
 
 def tag_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:

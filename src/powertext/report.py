@@ -6,7 +6,10 @@ collects any warnings, and records the sections that ran in
 ``AnalysisReport.sections``; both renderers show exactly those sections.
 The caller chooses the output format by calling a renderer:
 ``render_structured`` emits deterministic JSON (stable key order,
-two-decimal rounding, UTF-8, byte-identical for identical inputs);
+two-decimal rounding, UTF-8, byte-identical for identical inputs) with
+the bytes of ``json.dumps(..., ensure_ascii=False, indent=2)``, but
+encodes each container of scalars, and each list of match or entity
+rows, in one call of the C encoder and re-indents its separators;
 ``render_markdown`` emits the human-readable view — a two-column metric
 table, a category distribution table, sentiment lines, and the annotated
 text.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -374,6 +378,61 @@ def _aggregate_payload(agg: GenreAggregate) -> dict:
     return payload
 
 
+# Encodes a container of scalars in one C-level call, with a raw newline
+# after each member's comma.  The encoder escapes every control character
+# inside a string, even with ``ensure_ascii=False``, so each raw "\n" in
+# its output is one of those separators and can be re-indented by
+# ``str.replace``.
+_ENCODE_FLAT = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": ")).encode
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _is_flat(members) -> bool:
+    """Whether every member is a scalar; a member of a scalar subclass
+    takes the general path, which encodes it alike."""
+    return set(map(type, members)) <= _SCALARS
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for a value whose
+    dicts have string keys, starting at indent level ``depth``.
+
+    The pure-Python encoder that ``indent`` selects visits one value per
+    generator step; here each container of scalars, and each list of
+    dicts of scalars (the match and entity rows), is one encoder call
+    whose separators are then re-indented.
+    """
+    if not isinstance(value, _CONTAINERS):
+        return _ENCODE_FLAT(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if _is_flat(value.values() if is_dict else value):
+        text = _ENCODE_FLAT(value)
+        return text[0] + inner + text[1:-1].replace("\n", inner) + outer + text[-1]
+    if (
+        not is_dict
+        and all(map(isinstance, value, repeat(dict)))
+        and all(value)
+        and _is_flat(chain.from_iterable(map(dict.values, value)))
+    ):
+        # "[{a,\nb},\n{c}]": indent every member, then open and close the
+        # rows where one dict ends and the next begins ("},\n{" occurs
+        # nowhere else: a member before a separator is a scalar).
+        member = inner + "  "
+        rows = _ENCODE_FLAT(value)[2:-2].replace("\n", member)
+        rows = rows.replace("}," + member + "{", inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + rows + inner + "}" + outer + "]"
+    if is_dict:
+        parts = [_ENCODE_FLAT(key) + ": " + _dumps(item, depth + 1) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    parts = [_dumps(item, depth + 1) for item in value]
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+
+
 def render_structured(
     payload: AnalysisReport | Sequence[GenreAggregate],
 ) -> bytes:
@@ -404,8 +463,7 @@ def render_structured(
             "genres": [_aggregate_payload(agg) for agg in aggregates],
             "plot_rows": plot_rows,
         }
-    text = json.dumps(body, ensure_ascii=False, indent=2) + "\n"
-    return text.encode("utf-8")
+    return (_dumps(body) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Lexicon-based sentiment: polarity in [-1, 1], subjectivity in [0, 1].
 
-Scoring walks the document's word tokens.  Every token found in the
-lexicon contributes its entry polarity, scaled by the intensity factor
+Scoring visits only the word tokens found in the lexicon, picked out by
+a C-level scan of the document's word keys.  Every such token
+contributes its entry polarity, scaled by the intensity factor
 of an immediately preceding modifier ("very", "slightly", ...) and
 flipped-and-dampened by -0.5 when a negator appears within the three
 preceding word tokens.  The document score is the arithmetic mean of
@@ -12,6 +13,7 @@ range; a document with no lexicon hits scores exactly (0, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from pathlib import Path
 from statistics import fmean
 from typing import IO, Mapping, NamedTuple
@@ -191,19 +193,21 @@ def analyze_sentiment(doc: Document, lex: SentimentLexicon) -> SentimentScore:
     itself.  Results are clamped to polarity [-1, 1], subjectivity
     [0, 1]; zero matches yield exactly (0.0, 0.0).
     """
-    keys = [key for key in doc.keys if key is not None]
+    keys = list(compress(doc.keys, doc.tokens.is_word))
+    entries, modifiers, negators = lex.entries, lex.modifiers, lex.negators
     contributions: list[float] = []
     subjectivities: list[float] = []
 
-    for idx, key in enumerate(keys):
-        entry = lex.entries.get(key)
-        if entry is None or key in lex.modifiers:
+    # Only the word tokens found in the entry table are visited.
+    for idx in compress(count(), map(entries.__contains__, keys)):
+        key = keys[idx]
+        if key in modifiers:
             continue
+        entry = entries[key]
         polarity = entry.polarity
-        if idx >= 1 and keys[idx - 1] in lex.modifiers:
-            polarity *= lex.modifiers[keys[idx - 1]]
-        window = keys[max(0, idx - NEGATION_WINDOW) : idx]
-        if any(word in lex.negators for word in window):
+        if idx >= 1 and keys[idx - 1] in modifiers:
+            polarity *= modifiers[keys[idx - 1]]
+        if not negators.isdisjoint(keys[max(0, idx - NEGATION_WINDOW) : idx]):
             polarity *= NEGATION_FACTOR
         contributions.append(polarity)
         subjectivities.append(entry.subjectivity)

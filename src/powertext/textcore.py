@@ -48,7 +48,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -249,9 +249,12 @@ class PhraseMatcher:
     word-level keyword trie of Aho & Corasick).  It reads a key sequence
     such as ``Document.keys``, where a ``None`` key is a barrier no phrase
     crosses: a non-word token, or a token an earlier pass has claimed.
-    Phrases are a few words long, so restarting at every token is linear
-    and needs no failure links.  Immutable, so safe to share between
-    threads.
+    ``find`` visits only the candidate positions, the keys that start
+    some phrase, which a C-level scan of the key sequence picks out, and
+    walks the trie from a candidate only when a phrase can end past its
+    first word or at it.  Phrases are a few words long, so each walk is
+    short and the scan needs no failure links.  Immutable, so safe to
+    share between threads.
     """
 
     __slots__ = ("_root",)
@@ -285,19 +288,27 @@ class PhraseMatcher:
 
     def find(self, keys: Sequence[str | None]) -> Iterator[tuple[int, int, object]]:
         """``(start, stop, value)`` of each leftmost-longest match, in
-        order and non-overlapping: the scan resumes at each ``stop``."""
+        order and non-overlapping: the scan resumes at each ``stop``.
+
+        A caller may set a yielded match's ``keys[start:stop]`` to
+        ``None`` before asking for the next match, as the entity tagger's
+        claims do: the lazy ``map`` has read no key past ``start`` when
+        the match is yielded, so the scan sees the masked keys.
+        """
         root = self._root
-        n = len(keys)
-        i = 0
-        while i < n:
-            if keys[i] in root:
+        last = len(keys) - 1
+        stop = 0
+        for i in compress(count(), map(root.__contains__, keys)):
+            if i < stop:
+                continue
+            node = root[keys[i]]
+            # Walk only when the first word is a phrase by itself or the
+            # next key continues one; most candidates ("the") do neither.
+            if None in node or (i < last and keys[i + 1] in node):
                 hit = self.longest_at(keys, i)
                 if hit is not None:
                     stop, value = hit
                     yield i, stop, value
-                    i = stop
-                    continue
-            i += 1
 
 
 def tokenizes_as_words(phrase: str) -> bool:
@@ -554,15 +565,12 @@ def build_document(doc_id: str, text: str) -> Document:
     """Split ``text`` into sentences and tokens.
 
     Sentence spans break only at whitespace and no token crosses it, so
-    one ``tokenize`` call over the text from the first sentence's start
-    gives the tokens of every sentence, in order, with offsets into the
-    original string.  Starting there skips a byte-order mark that opens
-    the first sentence, as tokenizing that sentence on its own would.
+    one ``tokenize`` call over the whole text gives the tokens of every
+    sentence, in order.  Only a byte-order mark at offset 0 is skipped;
+    one anywhere else is a non-word token, as ``tokenize`` makes it.
     """
     spans = split_sentences(text)
-    first = spans[0][0] if spans else 0
-    tokens = tokenize(text[first:], offset=first)
-    return Document(doc_id=doc_id, raw=text, sentences=tuple(spans), tokens=tokens)
+    return Document(doc_id=doc_id, raw=text, sentences=tuple(spans), tokens=tokenize(text))
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,29 @@ def test_corpus_missing_file_exits_2_before_out_is_created(data_dir, corpus_dir,
     assert not out.exists()
 
 
+def test_corpus_out_naming_a_file_exits_1_without_traceback(data_dir, corpus_dir, tmp_path):
+    out = tmp_path / "reports"
+    out.write_text("not a directory\n", encoding="utf-8")
+    result = run_cli("corpus", corpus_dir / "manifest.csv", "--out", out, data_dir=data_dir)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"powertext: error: cannot write {out}: ")
+    assert "Traceback" not in result.stderr
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_corpus_report_file_that_cannot_be_written_exits_1(data_dir, corpus_dir, tmp_path):
+    out = tmp_path / "reports"
+    (out / "story.json").mkdir(parents=True)  # a directory where the report goes
+    result = run_cli(
+        "corpus", corpus_dir / "manifest.csv", "--format", "structured", "--out", out,
+        data_dir=data_dir,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"powertext: error: cannot write {out / 'story.json'}: ")
+    assert "Traceback" not in result.stderr
+    assert not (out / "corpus.json").exists()
+
+
 @pytest.mark.parametrize(
     "name, content, kind, message",
     [

@@ -1,5 +1,5 @@
-"""Differential property tests: the document core against per-occurrence
-reference implementations.
+"""Differential property tests: the document core and the lexicon scans
+against per-occurrence reference implementations.
 
 ``reference_tokenize``, ``reference_split_sentences`` and
 ``reference_compute_stats`` are copies of the character-by-character
@@ -7,21 +7,51 @@ tokenizer and sentence splitter and of the per-occurrence statistics that
 the regex-driven ``tokenize`` and ``split_sentences`` and the per-type
 ``compute_stats`` replaced; the tokenizer copy has since gained the
 combining-mark rule (a mark that follows a word character extends the
-word) and skips a leading byte-order mark.  The library must agree with
-them on every input.
+word) and skips a leading byte-order mark.  ``reference_find``,
+``ReferenceTagger`` and ``reference_analyze_sentiment`` are copies of the
+phrase matcher, entity passes and sentiment scorer that visited every
+token, which the candidate-position scans replaced.  The library must
+agree with them on every input.
 """
 
 from __future__ import annotations
 
 import string
 import unicodedata
-from typing import Iterable, Mapping
+from statistics import fmean
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powertext.defaults import GAZETTEER_FILE, data_path
+from powertext.entities import (
+    _DATE_PHRASES,
+    _DATE_START_WORDS,
+    _MONTHS,
+    _RELATIVE_DAYS,
+    _TIME_PHRASES,
+    _WEEKDAYS,
+    EntityLabel,
+    EntitySpan,
+    Gazetteer,
+    _is_day_of_month,
+    _is_number_token,
+    _is_year,
+    load_gazetteer,
+    tag_entities,
+)
+from powertext.sentiment import (
+    NEGATION_FACTOR,
+    NEGATION_WINDOW,
+    SentimentEntry,
+    SentimentLexicon,
+    SentimentScore,
+    analyze_sentiment,
+)
 from powertext.textcore import (
     Document,
+    PhraseMatcher,
     TextStats,
     Token,
     WordTable,
@@ -348,10 +378,23 @@ def test_split_sentences_equals_reference(text):
 @given(text=st.one_of(_sentence_texts, _mixed_texts, _texts))
 @example(text="\ufeff\ufeffA. B")
 @example(text="  \ufeff,² Hi. There")
-def test_document_tokens_equal_per_sentence_tokenize(text):
+def test_document_tokens_equal_tokenize_of_the_whole_text(text):
     doc = build_document("t", text)
-    expected = [tok for start, end in doc.sentences for tok in tokenize(text[start:end], offset=start)]
-    assert doc.tokens == expected
+    assert doc.tokens == tokenize(text)
+    # Every token lies inside one sentence span.
+    for tok in doc.tokens:
+        assert any(start <= tok.start and tok.end <= end for start, end in doc.sentences)
+
+
+def test_document_keeps_a_byte_order_mark_that_is_not_at_offset_0():
+    assert build_document("t", "  \ufeffA").tokens == [
+        Token("\ufeff", 2, 3, False),
+        Token("A", 3, 4, True),
+    ]
+    assert build_document("t", "\ufeff\ufeffA").tokens == [
+        Token("\ufeff", 1, 2, False),
+        Token("A", 2, 3, True),
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -443,3 +486,267 @@ def test_equal_texts_share_one_key_string():
     words = [key for key in doc.keys if key is not None]
     assert words == ["freedom", "and", "freedom", "freedom", "and", "freedom"]
     assert words[2] is words[5]
+
+
+# ---------------------------------------------------------------------------
+# Reference scans (the versions that visited every token)
+# ---------------------------------------------------------------------------
+
+
+def reference_longest_at(root: dict, keys: Sequence[str | None], i: int):
+    node = root
+    best = None
+    for j in range(i, len(keys)):
+        key = keys[j]
+        if key is None:
+            break
+        node = node.get(key)
+        if node is None:
+            break
+        if None in node:
+            best = (j + 1, node[None])
+    return best
+
+
+def reference_find(root: dict, keys: Sequence[str | None]) -> Iterator[tuple[int, int, object]]:
+    n = len(keys)
+    i = 0
+    while i < n:
+        if keys[i] in root:
+            hit = reference_longest_at(root, keys, i)
+            if hit is not None:
+                stop, value = hit
+                yield i, stop, value
+                i = stop
+                continue
+        i += 1
+
+
+class ReferenceTagger:
+    def __init__(self, doc: Document):
+        self.raw = doc.raw
+        self.texts = doc.tokens.texts
+        self.starts = doc.tokens.starts
+        self.ends = doc.tokens.ends
+        self.keys: list[str | None] = [*doc.keys, None]
+        self.spans: list[EntitySpan] = []
+
+    def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
+        start = self.starts[start_tok]
+        end = self.ends[end_tok - 1]
+        self.keys[start_tok:end_tok] = [None] * (end_tok - start_tok)
+        self.spans.append(
+            EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
+        )
+
+    def number_runs(self) -> list[int]:
+        keys = self.keys
+        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
+        runs = [0] * len(keys)
+        for i in range(len(self.texts) - 1, -1, -1):
+            if keys[i] in numbers:
+                runs[i] = runs[i + 1] + 1
+        return runs
+
+    def _match_date_at(self, i: int, run: int) -> int:
+        keys = self.keys
+        key = keys[i]
+        phrase = reference_longest_at(_DATE_PHRASES._root, keys, i)
+        best = phrase[0] - i if phrase is not None else 0
+        if run:
+            j = i + run
+            if keys[j] == "years" and keys[j + 1] in ("ago", "later"):
+                best = max(best, run + 2)
+        if key in _MONTHS:
+            j = i + 1
+            if _is_day_of_month(keys[j]):
+                length = 2
+                k = j + 1
+                if (
+                    k < len(self.texts)
+                    and self.texts[k] == ","
+                    and _is_year(keys[k + 1])
+                ):
+                    length = (k + 1 - i) + 1
+                elif _is_year(keys[k]):
+                    length = 3
+                best = max(best, length)
+            elif _is_year(keys[j]):
+                best = max(best, 2)
+        if key in _RELATIVE_DAYS or key in _WEEKDAYS:
+            best = max(best, 1)
+        if _is_year(key):
+            best = max(best, 1)
+        return best
+
+    def run_dates(self) -> None:
+        keys = self.keys
+        runs = self.number_runs()
+        i = 0
+        while i < len(self.texts):
+            if runs[i] or keys[i] in _DATE_START_WORDS:
+                length = self._match_date_at(i, runs[i])
+                if length:
+                    self.claim(i, i + length, EntityLabel.DATE)
+                    i += length
+                    continue
+            i += 1
+
+    def run_phrases(self, matcher: PhraseMatcher) -> None:
+        for start, stop, label in reference_find(matcher._root, self.keys):
+            self.claim(start, stop, label)
+
+    def run_cardinals(self) -> None:
+        runs = self.number_runs()
+        i = 0
+        while i < len(self.texts):
+            if runs[i]:
+                length = runs[i]
+                self.claim(i, i + length, EntityLabel.CARDINAL)
+                i += length
+            else:
+                i += 1
+
+
+def reference_tag_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
+    tagger = ReferenceTagger(doc)
+    tagger.run_dates()
+    tagger.run_phrases(_TIME_PHRASES)
+    tagger.run_cardinals()
+    tagger.run_phrases(gazetteer._matcher)
+    return sorted(tagger.spans, key=lambda span: span.start)
+
+
+def reference_analyze_sentiment(doc: Document, lex: SentimentLexicon) -> SentimentScore:
+    keys = [key for key in doc.keys if key is not None]
+    contributions: list[float] = []
+    subjectivities: list[float] = []
+    for idx, key in enumerate(keys):
+        entry = lex.entries.get(key)
+        if entry is None or key in lex.modifiers:
+            continue
+        polarity = entry.polarity
+        if idx >= 1 and keys[idx - 1] in lex.modifiers:
+            polarity *= lex.modifiers[keys[idx - 1]]
+        window = keys[max(0, idx - NEGATION_WINDOW) : idx]
+        if any(word in lex.negators for word in window):
+            polarity *= NEGATION_FACTOR
+        contributions.append(polarity)
+        subjectivities.append(entry.subjectivity)
+    if not contributions:
+        return SentimentScore(polarity=0.0, subjectivity=0.0, matched_terms=0)
+    return SentimentScore(
+        polarity=min(1.0, max(-1.0, fmean(contributions))),
+        subjectivity=min(1.0, max(0.0, fmean(subjectivities))),
+        matched_terms=len(contributions),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scan properties
+# ---------------------------------------------------------------------------
+
+# Phrase words that share prefixes ("the", "the long", "the long night"),
+# so that candidates are often rejected or cut short.
+_PHRASE_WORDS = ("the", "long", "night", "united", "states", "new", "york", "a")
+_phrase_sets = st.dictionaries(
+    st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=4).map(" ".join),
+    st.integers(0, 9),
+    max_size=8,
+)
+_key_streams = st.lists(st.sampled_from((*_PHRASE_WORDS, None, "x")), max_size=60)
+
+
+def _find_and_mask(find, keys: list) -> tuple[list, list]:
+    """Each match, masking its keys before asking for the next one, as
+    the entity tagger's ``claim`` does."""
+    found = []
+    for start, stop, value in find(keys):
+        keys[start:stop] = [None] * (stop - start)
+        found.append((start, stop, value))
+    return found, keys
+
+
+@settings(max_examples=500, deadline=None)
+@given(phrases=_phrase_sets, keys=_key_streams)
+@example(phrases={"the long night": 1, "long": 2}, keys=["the", "long", "night", "long"])
+@example(phrases={"the": 1, "the long": 2}, keys=["the", "the", "long", "the"])
+def test_phrase_matcher_find_equals_reference(phrases, keys):
+    matcher = PhraseMatcher(phrases)
+    assert list(matcher.find(keys)) == list(reference_find(matcher._root, keys))
+    assert list(matcher.find(tuple(keys))) == list(reference_find(matcher._root, keys))
+    assert _find_and_mask(matcher.find, list(keys)) == _find_and_mask(
+        lambda k: reference_find(matcher._root, k), list(keys)
+    )
+
+
+# Text pieces dense in what starts a date, time, number or gazetteer
+# phrase, and in the barriers (punctuation, claims) that end one.
+_ENTITY_PIECES = (
+    "one two ten twenty twenty-five forty-two hundred thousands million score "
+    "3 20 31 32 007 1499 1500 1961 2024 2099 2100 ² "
+    "January May march December today Tomorrow yesterday Monday sunday "
+    "years ago later the The long night midnight noon "
+    "united states United States new York america Alice island "
+    ", , . ; — ' ( )"
+).split() + [
+    "20,", "1961.", "May,", "the long night", "score years ago", "January 20, 1961",
+    "May 20 1961", "20 years ago", "twenty one years later", "1961 years ago",
+]
+_entity_texts = st.lists(st.sampled_from(_ENTITY_PIECES), max_size=60).map(" ".join)
+
+_TEST_GAZETTEER = Gazetteer(
+    entries={
+        "the united states": EntityLabel.GPE,
+        "united states": EntityLabel.GPE,
+        "new york": EntityLabel.GPE,
+        "new": EntityLabel.ORG,
+        "america": EntityLabel.GPE,
+        "alice": EntityLabel.PERSON,
+        "the long island": EntityLabel.LAW,
+        "long": EntityLabel.WORK_OF_ART,
+        "twenty": EntityLabel.NORP,  # a number word: the cardinal pass wins
+        "may": EntityLabel.PERSON,  # a month: the date pass wins when it can
+        "years ago": EntityLabel.ORG,
+    }
+)
+_SHIPPED_GAZETTEER = load_gazetteer(data_path(GAZETTEER_FILE))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_entity_texts)
+@example(text="the long night the united states twenty-five years ago May 20, 1961")
+@example(text="January 20 , 1961 today 20 20 years later the long island")
+@example(text="January 20 1961 years ago")  # a claim covers the next candidates
+def test_tag_entities_equals_reference(text):
+    doc = build_document("t", text)
+    for gazetteer in (_TEST_GAZETTEER, _SHIPPED_GAZETTEER):
+        assert tag_entities(doc, gazetteer) == reference_tag_entities(doc, gazetteer)
+
+
+_SENTIMENT_LEXICON = SentimentLexicon(
+    entries={
+        "good": SentimentEntry(0.7, 0.6),
+        "bad": SentimentEntry(-0.7, 0.7),
+        "great": SentimentEntry(0.8, 0.75),
+        "hope": SentimentEntry(0.3, 0.1),
+        "very": SentimentEntry(0.2, 0.3),  # also a modifier: never scored
+    },
+    modifiers={"very": 1.5, "slightly": 0.5, "extremely": 2.0},
+    negators=frozenset({"not", "never", "no"}),
+)
+_SENTIMENT_PIECES = (
+    "good Good bad great hope very slightly extremely not never no "
+    "the a and , . ! ; — don't"
+).split()
+_sentiment_texts = st.lists(st.sampled_from(_SENTIMENT_PIECES), max_size=60).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_sentiment_texts)
+@example(text="not , a very good . never slightly bad hope")
+def test_analyze_sentiment_equals_reference(text):
+    doc = build_document("t", text)
+    assert analyze_sentiment(doc, _SENTIMENT_LEXICON) == reference_analyze_sentiment(
+        doc, _SENTIMENT_LEXICON
+    )

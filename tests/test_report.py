@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powertext.corpus import aggregate, load_corpus, load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
@@ -26,6 +28,7 @@ from powertext.report import (
     AnalysisConfig,
     AnalysisReport,
     Resources,
+    _dumps,
     analyze,
     load_resources,
     render_corpus_markdown,
@@ -575,3 +578,39 @@ def test_shared_resources_give_sequential_bytes_under_threads():
     for thread in threads:
         assert not thread.is_alive()
     assert results == [[expected] * 3 for expected in sequential]
+
+
+# ---------------------------------------------------------------------------
+# The structured encoder
+# ---------------------------------------------------------------------------
+
+# Strings that look like the separators and row joins the encoder's output
+# is re-indented at, next to escapes and non-ASCII text.
+_json_strings = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "},\n{", "},", "{", "}", ",\n", "é", "→", "\u2028"]),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(-0.0),
+    _json_strings,
+)
+_flat_dicts = st.dictionaries(_json_strings, _json_scalars, max_size=4)
+_json_values = st.recursive(
+    st.one_of(_json_scalars, st.lists(_flat_dicts, max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_json_strings, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_json_values)
+@example(value={"matches": [{"term": "},\n{", "start": 1}, {"term": "{", "end": -0.0}], "e": []})
+@example(value=[{}, {"a": float("nan")}, [], {"b": [float("inf"), None, True]}])
+def test_dumps_equals_json_dumps_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, ensure_ascii=False, indent=2)
