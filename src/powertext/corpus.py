@@ -1,7 +1,8 @@
 """Corpus loading (boilerplate/markup stripping, manifests) and
 genre-level aggregation.
 
-A corpus is described by a manifest of ``path,id,genre,kind`` lines.
+A corpus is described by a manifest of ``path,id,genre,kind`` lines,
+read by ``textcore.DataLines``.
 Each file is cleaned according to its kind — ebook boilerplate stripped
 between the ``*** START OF`` / ``*** END OF`` marker lines, HTML reduced
 to text, plain text passed through — then tokenized into a Document.
@@ -26,7 +27,7 @@ from typing import (
 from .errors import DataFileError, InputTextError
 from .powerwords import CategoryDistribution, PowerCategory
 from .readability import READABILITY_INDICES
-from .textcore import Document, build_document, read_data_lines
+from .textcore import DataLines, Document, build_document
 
 if TYPE_CHECKING:  # import only for annotations; no runtime dependency
     from .report import AnalysisReport
@@ -215,7 +216,7 @@ def load_manifest(
     file name inside the ``--out`` directory: one that contains ``/``,
     ``\\`` or ``..``, starts with ``.``, or is ``corpus`` in any case.
     """
-    name, lines = read_data_lines(source)
+    lines = DataLines(source)
     if base_dir is not None:
         root = Path(base_dir)
     elif hasattr(source, "read"):
@@ -225,52 +226,30 @@ def load_manifest(
 
     entries: list[ManifestEntry] = []
     seen_ids: dict[str, int] = {}
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [part.strip() for part in line.split(",")]
-        if len(parts) != 4:
-            raise DataFileError(
-                f"expected 'path,id,genre,kind', got {raw_line!r}",
-                source=name,
-                line=lineno,
-            )
-        raw_path, doc_id, genre, kind = parts
+    for line in lines:
+        raw_path, doc_id, genre, kind = lines.fields(line, ",", 4, "path,id,genre,kind")
         if not raw_path:
-            raise DataFileError("empty path", source=name, line=lineno)
+            raise lines.error("empty path")
         if not doc_id:
-            raise DataFileError("empty id", source=name, line=lineno)
+            raise lines.error("empty id")
         if (
             any(part in doc_id for part in ("/", "\\", ".."))
             or doc_id.startswith(".")
             or doc_id.lower() == SUMMARY_ID
         ):
-            raise DataFileError(
+            raise lines.error(
                 f"id {doc_id!r} cannot name a report file: it may not contain "
-                f"'/', '\\' or '..', start with '.', or be {SUMMARY_ID!r}",
-                source=name,
-                line=lineno,
+                f"'/', '\\' or '..', start with '.', or be {SUMMARY_ID!r}"
             )
         if genre not in GENRES:
-            raise DataFileError(
-                f"unknown genre {genre!r} (expected one of {', '.join(GENRES)})",
-                source=name,
-                line=lineno,
-            )
+            raise lines.error(f"unknown genre {genre!r} (expected one of {', '.join(GENRES)})")
         if kind not in SOURCE_KINDS:
-            raise DataFileError(
-                f"unknown kind {kind!r} (expected one of {', '.join(SOURCE_KINDS)})",
-                source=name,
-                line=lineno,
+            raise lines.error(
+                f"unknown kind {kind!r} (expected one of {', '.join(SOURCE_KINDS)})"
             )
         if doc_id in seen_ids:
-            raise DataFileError(
-                f"duplicate id {doc_id!r} (first on line {seen_ids[doc_id]})",
-                source=name,
-                line=lineno,
-            )
-        seen_ids[doc_id] = lineno
+            raise lines.error(f"duplicate id {doc_id!r} (first on line {seen_ids[doc_id]})")
+        seen_ids[doc_id] = lines.lineno
         file_path = Path(raw_path)
         if not file_path.is_absolute():
             file_path = root / file_path
@@ -279,7 +258,7 @@ def load_manifest(
         )
 
     if not entries:
-        raise DataFileError("manifest contains no entries", source=name)
+        raise lines.error("manifest contains no entries")
     return CorpusManifest(entries=tuple(entries))
 
 

@@ -13,7 +13,8 @@ match through ``textcore.PhraseMatcher``: the tagger's key list holds
 ``None`` for every token a pass has claimed, so later passes never
 match across a claim.  Each pass visits only the positions where a
 match can start (number tokens, date start words, first words of a
-phrase), found by C-level scans of the key list, not every token.
+phrase), found by C-level scans of the key list, not every token.  The
+gazetteer file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -22,16 +23,9 @@ import enum
 from dataclasses import dataclass, field
 from itertools import compress, count
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
-from .errors import DataFileError
-from .textcore import (
-    Document,
-    PhraseMatcher,
-    normalize,
-    read_data_lines,
-    tokenizes_as_words,
-)
+from .textcore import DataLines, Document, PhraseMatcher
 
 __all__ = [
     "EntityLabel",
@@ -71,8 +65,7 @@ _GAZETTEER_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """One tagged region of the raw text."""
 
     start: int
@@ -174,50 +167,25 @@ def load_gazetteer(source: str | Path | IO[str] | IO[bytes]) -> Gazetteer:
     surface form (single- or multi-word).  The same surface under two
     labels is an error.
     """
-    name, lines = read_data_lines(source)
+    lines = DataLines(source)
     valid = {label.value: label for label in _GAZETTEER_LABELS}
     entries: dict[str, EntityLabel] = {}
     current: EntityLabel | None = None
 
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
+    for line in lines:
+        section = lines.header(line)
+        if section is not None:
             if section not in valid:
-                raise DataFileError(
-                    f"unknown gazetteer section [{section}] "
-                    f"(expected one of {', '.join(valid)})",
-                    source=name,
-                    line=lineno,
+                raise lines.error(
+                    f"unknown gazetteer section [{section}] (expected one of {', '.join(valid)})"
                 )
             current = valid[section]
-            continue
-        if current is None:
-            raise DataFileError(
-                "surface form before any section header", source=name, line=lineno
-            )
-        surface = " ".join(normalize(line).split())
-        if not surface:
-            raise DataFileError("empty surface form", source=name, line=lineno)
-        if not tokenizes_as_words(surface):
-            raise DataFileError(
-                f"surface {surface!r} can never match: each word must tokenize as one word",
-                source=name,
-                line=lineno,
-            )
-        existing = entries.get(surface)
-        if existing is not None and existing is not current:
-            raise DataFileError(
-                f"surface {surface!r} listed under both {existing.value} "
-                f"and {current.value}",
-                source=name,
-                line=lineno,
-            )
-        entries[surface] = current
+        elif current is None:
+            raise lines.error("surface form before any section header")
+        else:
+            lines.define(entries, lines.phrase(line, "surface"), current, "surface")
 
-    return Gazetteer(entries=dict(entries))
+    return Gazetteer(entries=entries)
 
 
 # ---------------------------------------------------------------------------

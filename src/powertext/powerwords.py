@@ -5,7 +5,8 @@ words) to one of seven fixed categories.  Matching is case-insensitive,
 aligned to word-token boundaries, leftmost-longest, and non-overlapping,
 so a phrase entry like "risk free" counts once rather than once for the
 phrase and once for "free".  The matching itself is the shared
-``textcore.PhraseMatcher`` over ``Document.keys``.
+``textcore.PhraseMatcher`` over ``Document.keys``; the lexicon file is
+read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, NamedTuple
 
 from .errors import DataFileError
-from .textcore import Document, PhraseMatcher, normalize, read_data_lines, tokenizes_as_words
+from .textcore import DataLines, Document, PhraseMatcher
 
 __all__ = [
     "PowerCategory",
@@ -53,11 +54,6 @@ class PowerCategory(enum.Enum):
 _CATEGORY_BY_NAME = {category.value: category for category in PowerCategory}
 
 
-def _normalize_term(term: str) -> str:
-    """Lexicon-term normal form: lowercase, trimmed, single-spaced."""
-    return " ".join(normalize(term).split())
-
-
 @dataclass(frozen=True)
 class PowerLexicon:
     """Immutable term -> category table plus provenance strings."""
@@ -70,8 +66,7 @@ class PowerLexicon:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PowerMatch:
+class PowerMatch(NamedTuple):
     """One lexicon hit: the normalized term, its category, and the
     character span of the matched surface text."""
 
@@ -118,69 +113,30 @@ def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
     deduped silently; the same term under two categories is an error, as
     are unknown category names and an empty result.
     """
-    name, lines = read_data_lines(source)
+    lines = DataLines(source)
     entries: dict[str, PowerCategory] = {}
-    first_line: dict[str, int] = {}
-    version = "unversioned"
     seen_rows = False
 
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comment = line.lstrip("#").strip()
-            if comment.lower().startswith("version:"):
-                version = comment.split(":", 1)[1].strip()
-            continue
+    for line in lines:
         if not seen_rows and line.lower().replace(" ", "") == "term,category":
             seen_rows = True
             continue
         seen_rows = True
-        if "," not in line:
-            raise DataFileError(
-                f"expected 'term,category', got {raw_line!r}", source=name, line=lineno
-            )
-        raw_term, raw_category = line.rsplit(",", 1)
-        category_name = raw_category.strip()
+        raw_term, category_name = lines.fields(line, ",", 2, "term,category")
         if category_name not in _CATEGORY_BY_NAME:
-            raise DataFileError(
+            raise lines.error(
                 f"unknown category {category_name!r} "
-                f"(expected one of {', '.join(_CATEGORY_BY_NAME)})",
-                source=name,
-                line=lineno,
+                f"(expected one of {', '.join(_CATEGORY_BY_NAME)})"
             )
-        category = _CATEGORY_BY_NAME[category_name]
-        term = _normalize_term(raw_term)
-        if not term:
-            raise DataFileError("empty term", source=name, line=lineno)
+        term = lines.phrase(raw_term, "term")
         if len(term.split(" ")) > MAX_PHRASE_WORDS:
-            raise DataFileError(
-                f"term longer than {MAX_PHRASE_WORDS} words: {term!r}",
-                source=name,
-                line=lineno,
-            )
-        if not tokenizes_as_words(term):
-            raise DataFileError(
-                f"term {term!r} can never match: each word must tokenize as one word",
-                source=name,
-                line=lineno,
-            )
-        existing = entries.get(term)
-        if existing is None:
-            entries[term] = category
-            first_line[term] = lineno
-        elif existing is not category:
-            raise DataFileError(
-                f"term {term!r} already mapped to {existing.value} "
-                f"on line {first_line[term]}, conflicting {category.value}",
-                source=name,
-                line=lineno,
-            )
+            raise lines.error(f"term longer than {MAX_PHRASE_WORDS} words: {term!r}")
+        lines.define(entries, term, _CATEGORY_BY_NAME[category_name], "term")
 
     if not entries:
-        raise DataFileError("lexicon contains no entries", source=name)
-    return PowerLexicon(entries=dict(entries), version=version, source=name)
+        raise lines.error("lexicon contains no entries")
+    version = "unversioned" if lines.version is None else lines.version
+    return PowerLexicon(entries=entries, version=version, source=lines.source)
 
 
 # ---------------------------------------------------------------------------

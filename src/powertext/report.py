@@ -217,6 +217,14 @@ def analyze(
     """
     if resources is None:
         resources = load_resources(config)
+    loaded = {
+        "power": resources.matcher,
+        "sentiment": resources.sentiment_lexicon,
+        "entities": resources.gazetteer,
+    }
+    missing = [name for name, data in loaded.items() if name in config.sections and data is None]
+    if missing:
+        raise ValueError(f"resources lack the data of enabled sections: {', '.join(missing)}")
     warnings: list[str] = list(extra_warnings)
 
     stats = compute_stats(doc, resources.word_table)
@@ -234,7 +242,6 @@ def analyze(
     power = None
     power_distribution = None
     if "power" in config.sections:
-        assert resources.matcher is not None
         power = scan(doc, resources.matcher)
         power_distribution = distribution(power)
         if power_distribution.empty:
@@ -242,12 +249,10 @@ def analyze(
 
     sentiment = None
     if "sentiment" in config.sections:
-        assert resources.sentiment_lexicon is not None
         sentiment = analyze_sentiment(doc, resources.sentiment_lexicon)
 
     entities = None
     if "entities" in config.sections:
-        assert resources.gazetteer is not None
         entities = tuple(tag_entities(doc, resources.gazetteer))
 
     return AnalysisReport(

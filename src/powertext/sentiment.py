@@ -7,7 +7,8 @@ of an immediately preceding modifier ("very", "slightly", ...) and
 flipped-and-dampened by -0.5 when a negator appears within the three
 preceding word tokens.  The document score is the arithmetic mean of
 those contributions (so length alone cannot saturate it), clamped into
-range; a document with no lexicon hits scores exactly (0, 0).
+range; a document with no lexicon hits scores exactly (0, 0).  The
+lexicon file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import IO, Mapping, NamedTuple
 
-from .errors import DataFileError
-from .textcore import Document, normalize, read_data_lines
+from .textcore import DataLines, Document
 
 __all__ = [
     "SentimentEntry",
@@ -67,26 +67,13 @@ class SentimentScore:
 # ---------------------------------------------------------------------------
 
 
-def _single_word(term: str, name: str, lineno: int) -> str:
-    key = normalize(term.strip())
-    if not key:
-        raise DataFileError("empty term", source=name, line=lineno)
-    if any(ch.isspace() for ch in key):
-        raise DataFileError(
-            f"sentiment terms are single words, got {term!r}", source=name, line=lineno
-        )
-    return key
-
-
-def _parse_float(text: str, what: str, name: str, lineno: int) -> float:
+def _finite(lines: DataLines, text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise DataFileError(
-            f"{what} must be a number, got {text!r}", source=name, line=lineno
-        ) from exc
+        raise lines.error(f"{what} must be a number, got {text!r}") from exc
     if value != value or value in (float("inf"), float("-inf")):
-        raise DataFileError(f"{what} must be finite", source=name, line=lineno)
+        raise lines.error(f"{what} must be finite")
     return value
 
 
@@ -95,85 +82,45 @@ def load_sentiment_lexicon(source: str | Path | IO[str] | IO[bytes]) -> Sentimen
 
     The default (headerless) section holds ``term,polarity,subjectivity``
     lines; a ``[modifiers]`` section holds ``term,factor`` lines; a
-    ``[negators]`` section holds bare words.  ``#`` comments and blank
-    lines are ignored.  Out-of-range values, malformed lines, and
-    duplicate terms with different values are errors naming the line.
+    ``[negators]`` section holds bare words.  Section names are read in
+    any case.  Out-of-range values and unknown sections are errors
+    naming the line, besides those of ``textcore.DataLines``.
     """
-    name, lines = read_data_lines(source)
+    lines = DataLines(source)
     entries: dict[str, SentimentEntry] = {}
     modifiers: dict[str, float] = {}
     negators: set[str] = set()
     section = "entries"
 
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section_name = line[1:-1].strip().lower()
-            if section_name not in ("modifiers", "negators"):
-                raise DataFileError(
-                    f"unknown section [{section_name}]", source=name, line=lineno
-                )
-            section = section_name
-            continue
-
-        if section == "entries":
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise DataFileError(
-                    f"expected 'term,polarity,subjectivity', got {raw_line!r}",
-                    source=name,
-                    line=lineno,
-                )
-            term = _single_word(parts[0], name, lineno)
-            polarity = _parse_float(parts[1], "polarity", name, lineno)
-            subjectivity = _parse_float(parts[2], "subjectivity", name, lineno)
+    for line in lines:
+        header = lines.header(line)
+        if header is not None:
+            section = header.lower()
+            if section not in ("modifiers", "negators"):
+                raise lines.error(f"unknown section [{section}]")
+        elif section == "entries":
+            term, polarity_text, subjectivity_text = lines.fields(
+                line, ",", 3, "term,polarity,subjectivity"
+            )
+            term = lines.word(term)
+            polarity = _finite(lines, polarity_text, "polarity")
+            subjectivity = _finite(lines, subjectivity_text, "subjectivity")
             if not -1.0 <= polarity <= 1.0:
-                raise DataFileError(
-                    f"polarity out of range [-1, 1]: {polarity}", source=name, line=lineno
-                )
+                raise lines.error(f"polarity out of range [-1, 1]: {polarity}")
             if not 0.0 <= subjectivity <= 1.0:
-                raise DataFileError(
-                    f"subjectivity out of range [0, 1]: {subjectivity}",
-                    source=name,
-                    line=lineno,
-                )
-            entry = SentimentEntry(polarity, subjectivity)
-            if term in entries and entries[term] != entry:
-                raise DataFileError(
-                    f"term {term!r} already defined with different values",
-                    source=name,
-                    line=lineno,
-                )
-            entries[term] = entry
+                raise lines.error(f"subjectivity out of range [0, 1]: {subjectivity}")
+            lines.define(entries, term, SentimentEntry(polarity, subjectivity), "term")
         elif section == "modifiers":
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise DataFileError(
-                    f"expected 'term,factor', got {raw_line!r}", source=name, line=lineno
-                )
-            term = _single_word(parts[0], name, lineno)
-            factor = _parse_float(parts[1], "factor", name, lineno)
+            term, factor_text = lines.fields(line, ",", 2, "term,factor")
+            term = lines.word(term)
+            factor = _finite(lines, factor_text, "factor")
             if factor <= 0:
-                raise DataFileError(
-                    f"modifier factor must be positive, got {factor}",
-                    source=name,
-                    line=lineno,
-                )
-            if term in modifiers and modifiers[term] != factor:
-                raise DataFileError(
-                    f"modifier {term!r} already defined with a different factor",
-                    source=name,
-                    line=lineno,
-                )
-            modifiers[term] = factor
+                raise lines.error(f"modifier factor must be positive, got {factor}")
+            lines.define(modifiers, term, factor, "modifier")
         else:  # negators
-            negators.add(_single_word(line, name, lineno))
+            negators.add(lines.word(line))
 
-    return SentimentLexicon(
-        entries=dict(entries), modifiers=dict(modifiers), negators=frozenset(negators)
-    )
+    return SentimentLexicon(entries=entries, modifiers=modifiers, negators=frozenset(negators))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ word text per run: ``report.Resources`` owns one, so every document
 analysed with the same resources shares it.  Only the position-dependent
 part of the complex-word rule is applied per occurrence, in
 ``compute_stats``.
+
+Every data-file loader reads its file through ``DataLines``, which holds
+the rules they share: UTF-8 with an optional byte-order mark, blank lines
+and ``#`` comments skipped, ``[section]`` headers, keys through
+``normalize``, and errors that name the file and line.
 """
 
 from __future__ import annotations
@@ -419,8 +424,8 @@ _BATCH = 256
 _LASTINDEX = operator.attrgetter("lastindex")
 
 
-def tokenize(text: str, *, offset: int = 0) -> Tokens:
-    """Tokens of ``text``, offsets shifted by ``offset``.
+def tokenize(text: str) -> Tokens:
+    """Tokens of ``text``.
 
     Word tokens are maximal runs of letters/digits and the combining
     marks that follow them, where an apostrophe or hyphen between two
@@ -440,9 +445,6 @@ def tokenize(text: str, *, offset: int = 0) -> Tokens:
             _tokenize_chunk(chunk.group(), chunk.start(), tokens)
             pos = chunk.end()
     _tokenize_ascii(text, pos, len(text), tokens)
-    if offset:
-        tokens.starts = array("q", [start + offset for start in tokens.starts])
-        tokens.ends = array("q", [end + offset for end in tokens.ends])
     return tokens
 
 
@@ -757,68 +759,121 @@ def compute_stats(
 # ---------------------------------------------------------------------------
 
 
-def read_data_lines(source: str | Path | IO[str] | IO[bytes]) -> tuple[str, list[str]]:
-    """``(display name, lines)`` of a data file given as a path or as a
-    text or UTF-8 byte stream; the reader of every data-file loader."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return str(getattr(source, "name", "<stream>")), data.splitlines()
-    path = Path(source)
-    try:
-        return str(path), path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFileError(f"cannot read file: {exc}", source=str(path)) from exc
+class DataLines:
+    """The lines of one data file, read by the rules every loader shares.
+
+    ``source`` is a path or a text or UTF-8 byte stream; a leading
+    byte-order mark is dropped.  Iterating yields each stripped line
+    that is neither blank nor a ``#`` comment, and keeps ``lineno`` (1-based)
+    and ``raw`` (the line as written) on the current line; both are
+    ``None`` outside iteration, so ``error`` then names the file alone.
+    A ``# version: ...`` comment sets ``version``.  The methods below
+    parse the parts of a line and raise ``DataFileError`` at it.
+    """
+
+    def __init__(self, source: str | Path | IO[str] | IO[bytes]) -> None:
+        if hasattr(source, "read"):
+            data = source.read()
+            if isinstance(data, bytes):
+                data = data.decode("utf-8")
+            self.source = str(getattr(source, "name", "<stream>"))
+        else:
+            self.source = str(Path(source))
+            try:
+                data = Path(source).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise DataFileError(f"cannot read file: {exc}", source=self.source) from exc
+        self._lines = data.removeprefix(_BOM).splitlines()
+        self.version: str | None = None
+        self.lineno: int | None = None
+        self.raw: str | None = None
+        # (id of a table, key) -> line that first defined the key.
+        self._first_line: dict[tuple[int, object], int] = {}
+
+    def __iter__(self) -> Iterator[str]:
+        for self.lineno, self.raw in enumerate(self._lines, start=1):
+            line = self.raw.strip()
+            if line.startswith("#"):
+                comment = line.lstrip("#").strip()
+                if comment.lower().startswith("version:"):
+                    self.version = comment.split(":", 1)[1].strip()
+            elif line:
+                yield line
+        self.lineno = self.raw = None
+
+    def error(self, message: str) -> DataFileError:
+        """The error to raise for the current line (or the whole file)."""
+        return DataFileError(message, source=self.source, line=self.lineno)
+
+    def fields(self, line: str, sep: str, count: int, form: str) -> list[str]:
+        """The ``count`` stripped fields of ``line`` split at ``sep``;
+        ``form`` spells the expected line for the error."""
+        parts = [part.strip() for part in line.split(sep)]
+        if len(parts) != count:
+            raise self.error(f"expected {form!r}, got {self.raw!r}")
+        return parts
+
+    @staticmethod
+    def header(line: str) -> str | None:
+        """The name inside a ``[section]`` header line, else ``None``."""
+        if line.startswith("[") and line.endswith("]"):
+            return line[1:-1].strip()
+        return None
+
+    def word(self, text: str) -> str:
+        """The matching key of a one-word entry."""
+        key = normalize(text.strip())
+        # Empty or holding whitespace.
+        if key.split() != [key]:
+            raise self.error(f"expected a single word, got {text!r}")
+        return key
+
+    def phrase(self, text: str, what: str) -> str:
+        """The matching key of a phrase entry: normalized words joined by
+        single spaces, each of which must tokenize as one word."""
+        phrase = " ".join(normalize(text).split())
+        if not phrase:
+            raise self.error(f"empty {what}")
+        if not tokenizes_as_words(phrase):
+            raise self.error(
+                f"{what} {phrase!r} can never match: each word must tokenize as one word"
+            )
+        return phrase
+
+    def define(self, table: dict, key: object, value: object, what: str) -> None:
+        """Set ``table[key] = value``; a repeated key must repeat its value."""
+        first = self._first_line.setdefault((id(table), key), self.lineno)
+        old = table.setdefault(key, value)
+        if old != value:
+            raise self.error(
+                f"{what} {key!r} already defined as {old} on line {first}, conflicting {value}"
+            )
 
 
 def load_familiar_words(source: str | Path | IO[str] | IO[bytes]) -> frozenset[str]:
-    """Load a familiar-word list: one lowercase word per line, ``#``
-    comments and blank lines ignored."""
-    name, lines = read_data_lines(source)
+    """Load a familiar-word list: one lowercase word per line, keyed as
+    ``normalize`` keys word tokens."""
+    lines = DataLines(source)
     words: set[str] = set()
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in lines:
         if line != line.lower():
-            raise DataFileError(
-                f"familiar word must be lowercase: {line!r}", source=name, line=lineno
-            )
-        if any(ch.isspace() for ch in line):
-            raise DataFileError(
-                f"familiar word must be a single word: {line!r}", source=name, line=lineno
-            )
-        words.add(line)
+            raise lines.error(f"familiar word must be lowercase: {line!r}")
+        words.add(lines.word(line))
     return frozenset(words)
 
 
 def load_syllable_exceptions(source: str | Path | IO[str] | IO[bytes]) -> dict[str, int]:
-    """Load a syllable-exceptions table: ``word<TAB>count`` per line,
-    ``#`` comments and blank lines ignored."""
-    name, lines = read_data_lines(source)
+    """Load a syllable-exceptions table: ``word<TAB>count`` per line; a
+    repeated word takes its last count."""
+    lines = DataLines(source)
     table: dict[str, int] = {}
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFileError(
-                f"expected 'word<TAB>count', got {raw_line!r}", source=name, line=lineno
-            )
-        word, count_text = parts[0].strip(), parts[1].strip()
+    for line in lines:
+        word, count_text = lines.fields(line, "\t", 2, "word<TAB>count")
         try:
             count = int(count_text)
         except ValueError as exc:
-            raise DataFileError(
-                f"syllable count must be an integer, got {count_text!r}",
-                source=name,
-                line=lineno,
-            ) from exc
+            raise lines.error(f"syllable count must be an integer, got {count_text!r}") from exc
         if count < 1:
-            raise DataFileError(
-                f"syllable count must be >= 1, got {count}", source=name, line=lineno
-            )
+            raise lines.error(f"syllable count must be >= 1, got {count}")
         table[normalize(word)] = count
     return table

@@ -270,6 +270,12 @@ def test_manifest_from_utf8_byte_stream(tmp_path):
     assert manifest.entries[0].path == tmp_path / "a.txt"
 
 
+def test_manifest_drops_a_leading_byte_order_mark(tmp_path):
+    stream = io.BytesIO("\ufeff# path,id,genre,kind\na.txt,a,fiction,plain\n".encode("utf-8"))
+    manifest = load_manifest(stream, base_dir=tmp_path)
+    assert manifest.entries[0].path == tmp_path / "a.txt"
+
+
 def test_manifest_error_names_line_number(tmp_path):
     manifest_file = tmp_path / "m.csv"
     manifest_file.write_text(

@@ -98,6 +98,11 @@ def test_load_gazetteer_accepts_bytes_and_duplicates_within_section():
     assert gaz.entries == {"america": EntityLabel.GPE}
 
 
+def test_load_gazetteer_drops_a_leading_byte_order_mark():
+    gaz = load_gazetteer(io.BytesIO("\ufeff[GPE]\nAmerica\n".encode("utf-8")))
+    assert gaz.entries == {"america": EntityLabel.GPE}
+
+
 # ---------------------------------------------------------------------------
 # date patterns
 # ---------------------------------------------------------------------------

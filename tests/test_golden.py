@@ -31,12 +31,13 @@ A change that means to alter these bytes regenerates them with those
 commands and says which bytes changed and why.
 """
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from powertext.cli import main
-from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
+from powertext.defaults import CORPUS_MANIFEST_FILE, ENV_DATA_DIR, data_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_NAMES = sorted(path.name for path in GOLDEN_DIR.glob("*.json"))
@@ -80,6 +81,18 @@ def test_markdown_goldens_cover_nine_documents_and_the_aggregate(markdown_output
 @pytest.mark.parametrize("name", MARKDOWN_NAMES)
 def test_markdown_report_matches_golden_bytes(markdown_output, name):
     assert (markdown_output / name).read_bytes() == (MARKDOWN_DIR / name).read_bytes()
+
+
+def test_data_files_with_a_byte_order_mark_give_the_golden_reports(tmp_path, monkeypatch):
+    data = shutil.copytree(data_path(CORPUS_MANIFEST_FILE).parent.parent, tmp_path / "data")
+    marked = [*data.glob("*.csv"), *data.glob("*.txt"), *data.glob("*.tsv")]
+    for path in [*marked, data / CORPUS_MANIFEST_FILE]:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    monkeypatch.setenv(ENV_DATA_DIR, str(data))
+    out = _corpus_run(tmp_path / "out", "--format", "structured")
+    assert sorted(path.name for path in out.iterdir()) == GOLDEN_NAMES
+    for name in GOLDEN_NAMES:
+        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,11 @@ def test_load_rejects_terms_that_can_never_match():
     assert len(lexicon_from("don't miss,Fear\nwell-known,Safety\n")) == 2
 
 
+def test_load_drops_a_leading_byte_order_mark():
+    lex = load_lexicon(io.BytesIO("\ufefffree,Greed\n".encode("utf-8")))
+    assert lex.entries == {"free": PowerCategory.GREED}
+
+
 def test_load_rejects_lines_without_comma():
     with pytest.raises(DataFileError):
         lexicon_from("free\n")

@@ -130,6 +130,14 @@ def test_analyze_all_sections():
     assert "smog-low-sample" in report.warnings
 
 
+def test_analyze_rejects_resources_missing_an_enabled_section():
+    doc = build_document("sample", SAMPLE_TEXT)
+    resources = load_resources(config_with({"sentiment"}))
+    with pytest.raises(ValueError, match="enabled sections: power, entities$"):
+        analyze(doc, config_with(), resources=resources)
+    assert analyze(doc, config_with({"readability", "sentiment"}), resources=resources)
+
+
 def test_analyze_power_only_gating():
     doc = build_document("sample", SAMPLE_TEXT)
     report = analyze(doc, config_with({"power"}), resources=make_resources())

@@ -108,6 +108,11 @@ def test_load_rejects_conflicting_duplicates_dedupes_identical():
         lexicon_from("great,0.8,0.75\ngreat,0.9,0.75\n")
 
 
+def test_load_drops_a_leading_byte_order_mark():
+    lex = load_sentiment_lexicon(io.BytesIO("\ufeffgreat,0.8,0.75\n".encode("utf-8")))
+    assert lex.entries == {"great": SentimentEntry(0.8, 0.75)}
+
+
 # ---------------------------------------------------------------------------
 # scoring basics
 # ---------------------------------------------------------------------------

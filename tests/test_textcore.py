@@ -171,7 +171,6 @@ def test_tokens_compare_equal_to_lists_and_tuples_of_equal_tokens():
     assert tokens != [*list(tokens)[:-1], (".", 7, 8, False)]
     assert tokens != "Hi, you."
     assert tokenize("") == () and tokenize("") == [] and not tokenize("  ")
-    assert tokenize("a", offset=3) == [Token("a", 3, 4, True)]
 
 
 def test_tokens_hash_like_the_tuple_of_their_tokens():
@@ -523,3 +522,61 @@ def test_load_syllable_exceptions_rejects_bad_rows():
         load_syllable_exceptions(io.StringIO("business\ttwo\n"))
     with pytest.raises(DataFileError):
         load_syllable_exceptions(io.StringIO("business\t0\n"))
+
+
+def test_familiar_words_are_keyed_as_word_tokens_are():
+    # NFD accents and curly apostrophes fold as ``normalize`` folds tokens.
+    words = load_familiar_words(io.StringIO("cafe\u0301\ndon’t\n"))
+    assert words == frozenset({"café", "don't"})
+    doc = build_document("t", "Café don’t cafe\u0301.")
+    assert compute_stats(doc, words).difficult_word_count == 0
+
+
+def test_load_familiar_words_drops_a_leading_byte_order_mark():
+    assert load_familiar_words(io.BytesIO(b"\xef\xbb\xbfable\n")) == frozenset({"able"})
+
+
+def test_load_syllable_exceptions_drops_a_leading_byte_order_mark():
+    table = load_syllable_exceptions(io.BytesIO(b"\xef\xbb\xbfbusiness\t2\n"))
+    assert table == {"business": 2}
+
+
+def test_data_file_path_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "familiar.txt"
+    path.write_bytes(b"\xef\xbb\xbf# list\nable\n")
+    assert load_familiar_words(path) == frozenset({"able"})
+    assert load_familiar_words(str(path)) == frozenset({"able"})
+
+
+def test_data_lines_skip_blanks_and_comments_and_track_the_line():
+    lines = textcore.DataLines(io.StringIO("\ufeff# version: 3\n\n  a , b \n# c\n[ S ]\n"))
+    assert lines.version is None and lines.lineno is None
+    seen = [(line, lines.lineno, lines.raw) for line in lines]
+    assert seen == [("a , b", 3, "  a , b "), ("[ S ]", 5, "[ S ]")]
+    assert lines.version == "3"
+    assert lines.header("[ S ]") == "S" and lines.header("a , b") is None
+    # Outside iteration an error names the file alone.
+    assert lines.lineno is None and str(lines.error("empty")) == "<stream>: empty"
+
+
+def test_data_lines_errors_name_the_current_line():
+    lines = textcore.DataLines(io.StringIO("x\n\nTwo  Words\n"))
+    it = iter(lines)
+    assert lines.fields(next(it), ",", 1, "word") == ["x"]
+    with pytest.raises(DataFileError, match="^<stream>:1: expected 'a,b', got 'x'$"):
+        lines.fields("x", ",", 2, "a,b")
+    table: dict = {}
+    lines.define(table, "k", 1, "key")
+    line = next(it)
+    assert lines.phrase(line, "term") == "two words"
+    lines.define(table, "k", 1, "key")  # an equal value is deduped
+    with pytest.raises(DataFileError) as err:
+        lines.define(table, "k", 2, "key")
+    assert err.value.line == 3
+    assert str(err.value).endswith("key 'k' already defined as 1 on line 1, conflicting 2")
+    with pytest.raises(DataFileError, match="expected a single word"):
+        lines.word(line)
+    with pytest.raises(DataFileError, match="expected a single word"):
+        lines.word(" ")
+    with pytest.raises(DataFileError, match="can never match"):
+        lines.phrase("u.s.", "term")
