@@ -185,7 +185,7 @@ def _write_stdout(data: bytes) -> None:
 def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
     try:
         text = args.file.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputTextError(f"cannot read input file: {exc}") from exc
     doc = build_document(args.file.stem, text)
     _extension, data = _render(analyze(doc, config), args.format)

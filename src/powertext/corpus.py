@@ -305,7 +305,7 @@ def _load_entry(entry: ManifestEntry) -> CorpusDocument:
     """One manifest entry, read, cleaned by its kind, and tokenized."""
     try:
         raw = entry.path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFileError(
             f"cannot read corpus file for {entry.doc_id!r}: {exc}",
             source=str(entry.path),

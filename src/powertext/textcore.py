@@ -19,8 +19,10 @@ are deliberately small, explicit, and heavily tested:
 A document's tokens are columns, not objects: ``Tokens`` keeps the token
 texts, start and end offsets and word flags in a list, two
 ``array('q')`` and a ``bytearray``, and builds a ``Token`` only when it
-is indexed or iterated; the pipeline reads the columns.  ``tokenize``
-fills them from regex scans: the engine finds every token of ASCII text,
+is indexed or iterated; the pipeline reads the columns.  Equal token
+texts of one document are one string object, so the text column costs a
+pointer per token and one string per distinct text.  ``tokenize`` fills
+the columns from regex scans: the engine finds every token of ASCII text,
 and only a whitespace-free chunk that holds a non-ASCII character is
 read character by character.  ``split_sentences`` visits only the runs
 of sentence terminators.
@@ -148,11 +150,12 @@ class Tokens(Sequence[Token]):
 
     ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``is_word[i]`` are the
     fields of token i: a list of strings, two ``array('q')`` of offsets
-    and a ``bytearray`` of 0/1 flags.  No ``Token`` object is stored:
-    indexing and iteration build each one on demand, and a slice is a
-    tuple of them.  The columns are what the pipeline reads.  Equal to a
-    ``Tokens``, list or tuple holding equal tokens in the same order;
-    must not be modified once built.
+    and a ``bytearray`` of 0/1 flags.  ``tokenize`` stores one string
+    per distinct text, so equal texts are the same object.  No ``Token``
+    object is stored: indexing and iteration build each one on demand,
+    and a slice is a tuple of them.  The columns are what the pipeline
+    reads.  Equal to a ``Tokens``, list or tuple holding equal tokens in
+    the same order; must not be modified once built.
     """
 
     __slots__ = ("texts", "starts", "ends", "is_word")
@@ -436,35 +439,46 @@ def tokenize(text: str) -> Tokens:
 
     The regex engine finds the tokens of ASCII text; only the chunks
     that hold a non-ASCII character are read character by character.
+    Equal token texts are one string object.
     """
     tokens = Tokens()
+    # The first string of each distinct text, which every later equal
+    # text is swapped for.  Local to the call, so a document's texts are
+    # freed with it; ``sys.intern`` would keep them for the life of the
+    # process (its strings are immortal from CPython 3.12).
+    seen: dict[str, str] = {}
     pos = 1 if text.startswith(_BOM) else 0
     if not text.isascii():
         for chunk in _NON_ASCII_CHUNK.finditer(text, pos):
-            _tokenize_ascii(text, pos, chunk.start(), tokens)
-            _tokenize_chunk(chunk.group(), chunk.start(), tokens)
+            _tokenize_ascii(text, pos, chunk.start(), tokens, seen)
+            _tokenize_chunk(chunk.group(), chunk.start(), tokens, seen)
             pos = chunk.end()
-    _tokenize_ascii(text, pos, len(text), tokens)
+    _tokenize_ascii(text, pos, len(text), tokens, seen)
     return tokens
 
 
-def _tokenize_ascii(text: str, pos: int, endpos: int, tokens: Tokens) -> None:
-    """Append the tokens of ``text[pos:endpos]``, which is ASCII."""
+def _tokenize_ascii(text: str, pos: int, endpos: int, tokens: Tokens, seen: dict[str, str]) -> None:
+    """Append the tokens of ``text[pos:endpos]``, which is ASCII, each
+    text through ``seen``."""
     matches = _ASCII_TOKEN.finditer(text, pos, endpos)
+    share = seen.setdefault
     while batch := list(islice(matches, _BATCH)):
-        tokens.texts += map(re.Match.group, batch)
+        texts = list(map(re.Match.group, batch))
+        tokens.texts += map(share, texts, texts)
         tokens.starts.extend(map(re.Match.start, batch))
         tokens.ends.extend(map(re.Match.end, batch))
         tokens.is_word.extend(map(bool, map(_LASTINDEX, batch)))
 
 
-def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens) -> None:
-    """Append the tokens of one whitespace-free chunk.  No token crosses
-    whitespace, so each chunk tokenizes independently of its neighbours."""
+def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens, seen: dict[str, str]) -> None:
+    """Append the tokens of one whitespace-free chunk, each text through
+    ``seen``.  No token crosses whitespace, so each chunk tokenizes
+    independently of its neighbours."""
     texts, starts, ends, is_word = tokens.texts, tokens.starts, tokens.ends, tokens.is_word
+    share = seen.setdefault
     n = len(chunk)
     if chunk.isalpha():
-        texts.append(chunk)
+        texts.append(share(chunk, chunk))
         starts.append(offset)
         ends.append(offset + n)
         is_word.append(True)
@@ -493,7 +507,8 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens) -> None:
             while j < n and not _is_word_char(chunk[j]):
                 j += 1
             is_word.append(False)
-        texts.append(chunk[i:j])
+        text = chunk[i:j]
+        texts.append(share(text, text))
         starts.append(offset + i)
         ends.append(offset + j)
         i = j
@@ -763,7 +778,8 @@ class DataLines:
     """The lines of one data file, read by the rules every loader shares.
 
     ``source`` is a path or a text or UTF-8 byte stream; a leading
-    byte-order mark is dropped.  Iterating yields each stripped line
+    byte-order mark is dropped, and a file that cannot be read or is not
+    UTF-8 is an error naming it.  Iterating yields each stripped line
     that is neither blank nor a ``#`` comment, and keeps ``lineno`` (1-based)
     and ``raw`` (the line as written) on the current line; both are
     ``None`` outside iteration, so ``error`` then names the file alone.
@@ -772,17 +788,14 @@ class DataLines:
     """
 
     def __init__(self, source: str | Path | IO[str] | IO[bytes]) -> None:
-        if hasattr(source, "read"):
-            data = source.read()
+        stream = hasattr(source, "read")
+        self.source = str(getattr(source, "name", "<stream>") if stream else Path(source))
+        try:
+            data = source.read() if stream else Path(source).read_bytes()
             if isinstance(data, bytes):
                 data = data.decode("utf-8")
-            self.source = str(getattr(source, "name", "<stream>"))
-        else:
-            self.source = str(Path(source))
-            try:
-                data = Path(source).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise DataFileError(f"cannot read file: {exc}", source=self.source) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataFileError(f"cannot read file: {exc}", source=self.source) from exc
         self._lines = data.removeprefix(_BOM).splitlines()
         self.version: str | None = None
         self.lineno: int | None = None
@@ -863,17 +876,20 @@ def load_familiar_words(source: str | Path | IO[str] | IO[bytes]) -> frozenset[s
 
 
 def load_syllable_exceptions(source: str | Path | IO[str] | IO[bytes]) -> dict[str, int]:
-    """Load a syllable-exceptions table: ``word<TAB>count`` per line; a
-    repeated word takes its last count."""
+    """Load a syllable-exceptions table: ``word<TAB>count`` per line, the
+    word keyed as ``normalize`` keys word tokens.  A word holding
+    whitespace is an error, and so is a repeated word with another count;
+    a repeat with the same count is accepted."""
     lines = DataLines(source)
     table: dict[str, int] = {}
     for line in lines:
         word, count_text = lines.fields(line, "\t", 2, "word<TAB>count")
+        key = lines.word(word)
         try:
             count = int(count_text)
         except ValueError as exc:
             raise lines.error(f"syllable count must be an integer, got {count_text!r}") from exc
         if count < 1:
             raise lines.error(f"syllable count must be >= 1, got {count}")
-        table[normalize(word)] = count
+        lines.define(table, key, count, "word")
     return table

@@ -245,6 +245,24 @@ def test_missing_input_file_exits_3(data_dir, tmp_path):
     assert result.returncode == 3
 
 
+def test_input_file_that_is_not_utf8_exits_3(data_dir, tmp_path):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("Un café noir.\n".encode("latin-1"))
+    result = run_cli("analyze", latin1, data_dir=data_dir)
+    assert result.returncode == 3
+    assert result.stderr.startswith("powertext: error: cannot read input file: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_data_file_that_is_not_utf8_exits_2_and_names_it(data_dir, sample_file, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes("café,Greed\n".encode("latin-1"))
+    result = run_cli("analyze", sample_file, "--lexicon", bad, data_dir=data_dir)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"powertext: error: {bad}: cannot read file: ")
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # corpus
 # ---------------------------------------------------------------------------
@@ -328,6 +346,16 @@ def test_corpus_entry_missing_file_exits_2_and_names_id(data_dir, tmp_path):
     result = run_cli("corpus", manifest, data_dir=data_dir)
     assert result.returncode == 2
     assert "ghost-id" in result.stderr
+
+
+def test_corpus_entry_that_is_not_utf8_exits_2_and_names_id(data_dir, tmp_path):
+    (tmp_path / "latin1.txt").write_bytes("Un café noir.\n".encode("latin-1"))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("latin1.txt,latin1-id,fiction,plain\n", encoding="utf-8")
+    result = run_cli("corpus", manifest, data_dir=data_dir)
+    assert result.returncode == 2
+    assert "cannot read corpus file for 'latin1-id': " in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_corpus_unterminated_markers_exit_3(data_dir, tmp_path):

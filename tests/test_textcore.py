@@ -3,12 +3,16 @@ counting, and surface statistics."""
 
 import io
 import random
+import re
 import time
+import tracemalloc
+import unicodedata
 from array import array
 
 import pytest
 
 from powertext import textcore
+from powertext.defaults import data_path
 from powertext.errors import DataFileError, InputTextError
 from powertext.textcore import (
     Token,
@@ -262,6 +266,52 @@ def test_tokenize_round_trip_random_texts():
         for tok in tokens:
             has_alnum = any(ch.isalpha() or ch.isdigit() for ch in tok.text)
             assert tok.is_word == has_alnum
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "The cat saw the cat. The end, the end!",
+        # "," and "stop" come from both the ASCII and the non-ASCII path.
+        "Stop, naïve, stop, cafe\u0301—stop. Café, cafe\u0301, naïve!",
+        "\ufeffHi hi Hi. Hi! hi.",
+    ],
+    ids=["ascii", "mixed", "bom"],
+)
+def test_equal_token_texts_share_one_string(text):
+    texts = tokenize(text).texts
+    assert len(set(texts)) < len(texts)
+    assert len(set(map(id, texts))) == len(set(texts))
+
+
+# Bytes a token of a repeated text may add to the tokens that hold it:
+# its offsets, flag and list slot take 25, and growth headroom the rest.
+# A new string per token costs another 48 or more.
+MAX_BYTES_PER_REPEATED_TOKEN = 40
+
+
+def _kept_by_tokenize(text: str) -> tuple[int, int]:
+    """The bytes ``tokenize(text)`` keeps, traced, and its token count."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tokens = tokenize(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, len(tokens)
+
+
+@pytest.mark.parametrize("form", ["ascii", "nfd"])
+def test_tokens_of_a_repeated_text_keep_no_string_per_token(form):
+    sample = data_path("corpus/jfk_inaugural.txt").read_text(encoding="utf-8")
+    if form == "nfd":
+        # Most words then hold a combining mark and take the non-ASCII path.
+        sample = unicodedata.normalize("NFD", sample.replace("e", "é"))
+    small, small_count = _kept_by_tokenize(sample * 2)
+    large, large_count = _kept_by_tokenize(sample * 8)
+    per_token = (large - small) / (large_count - small_count)
+    assert per_token <= MAX_BYTES_PER_REPEATED_TOKEN, f"{per_token:.1f} bytes per token"
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +572,28 @@ def test_load_syllable_exceptions_rejects_bad_rows():
         load_syllable_exceptions(io.StringIO("business\ttwo\n"))
     with pytest.raises(DataFileError):
         load_syllable_exceptions(io.StringIO("business\t0\n"))
+
+
+def test_load_syllable_exceptions_keys_words_as_every_loader_does():
+    with pytest.raises(DataFileError, match="^<stream>:2: expected a single word, got 'x y'$"):
+        load_syllable_exceptions(io.StringIO("business\t2\nx y\t3\n"))
+    with pytest.raises(DataFileError) as err:
+        load_syllable_exceptions(io.StringIO("every\t2\nbusiness\t2\nEvery\t3\n"))
+    assert err.value.line == 3
+    assert str(err.value).endswith("word 'every' already defined as 2 on line 1, conflicting 3")
+    # An identical repeat is accepted.
+    assert load_syllable_exceptions(io.StringIO("every\t2\nEvery\t2\n")) == {"every": 2}
+
+
+def test_data_file_that_is_not_utf8_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "familiar.txt"
+    path.write_bytes(b"caf\xe9\n")
+    message = f"^{re.escape(str(path))}: cannot read file: .*utf-8"
+    with pytest.raises(DataFileError, match=message):
+        load_familiar_words(path)
+    stream = io.BytesIO(b"caf\xe9\t2\n")
+    with pytest.raises(DataFileError, match="^<stream>: cannot read file: .*utf-8"):
+        load_syllable_exceptions(stream)
 
 
 def test_familiar_words_are_keyed_as_word_tokens_are():
