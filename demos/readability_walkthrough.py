@@ -5,6 +5,7 @@ readability index, ending with the consensus grade band."""
 from powertext import defaults
 from powertext.readability import readability_report
 from powertext.textcore import (
+    WordTable,
     build_document,
     compute_stats,
     load_familiar_words,
@@ -25,7 +26,8 @@ def main() -> None:
     exceptions = load_syllable_exceptions(
         defaults.data_path(defaults.SYLLABLE_EXCEPTIONS_FILE)
     )
-    stats = compute_stats(doc, familiar, exceptions=exceptions)
+    # The table holds both data files and remembers each word it measures.
+    stats = compute_stats(doc, WordTable(familiar, exceptions))
 
     print("Surface counts")
     print(f"  words                 {stats.word_count}")

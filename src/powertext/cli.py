@@ -11,8 +11,9 @@ means need, so its memory does not grow with the corpus and each
 report file appears as soon as its document is done.  The summary is
 written last.
 
-Exit codes: 0 success, 1 usage error or an ``--out`` directory or
-report file that cannot be created or written, 2 data-file error, 3
+Exit codes: 0 success, 1 usage error, or standard output, an ``--out``
+directory or a report file that cannot be created or written (a reader
+that closed the pipe early included), 2 data-file error, 3
 input-text error.  Usage errors, bad manifest or data files and a
 missing corpus file are found before ``--out`` is created.  An error found only by
 reading a corpus file (unreadable: 2; an unterminated ebook marker
@@ -24,6 +25,7 @@ reports of earlier documents in ``--out``, but never the summary.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -176,10 +178,26 @@ def _render(
     return "md", render_corpus_markdown(payload).encode("utf-8")
 
 
+class _CannotWrite(Exception):
+    """Standard output, ``--out`` or a report file in it could not be
+    created or written."""
+
+    def __init__(self, path: Path | str, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_stdout(data: bytes) -> None:
-    sys.stdout.flush()
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        # The bytes left in the buffer would fail again, as an "Exception
+        # ignored" message, when the interpreter flushes it at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _CannotWrite("standard output", exc) from exc
 
 
 def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
@@ -191,13 +209,6 @@ def _cmd_analyze(args: argparse.Namespace, config: AnalysisConfig) -> int:
     _extension, data = _render(analyze(doc, config), args.format)
     _write_stdout(data)
     return 0
-
-
-class _CannotWrite(Exception):
-    """``--out`` or a report file in it could not be created or written."""
-
-    def __init__(self, path: Path, exc: OSError) -> None:
-        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_out(path: Path, data: bytes) -> None:

@@ -158,10 +158,13 @@ class _TextExtractor(HTMLParser):
         if self._drop_depth:
             return
         try:
-            code = int(name[1:], 16) if name.startswith(("x", "X")) else int(name)
-            self.pieces.append(chr(code))
+            char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
         except (ValueError, OverflowError):
-            self.pieces.append(f"&#{name};")
+            char = None
+        # A surrogate code point is no character: UTF-8 cannot encode it.
+        if char is None or "\ud800" <= char <= "\udfff":
+            char = f"&#{name};"
+        self.pieces.append(char)
 
 
 def strip_html(html: str) -> str:

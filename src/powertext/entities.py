@@ -210,7 +210,7 @@ class _Tagger:
         self.raw = doc.raw
         self.texts = doc.tokens.texts
         self.starts = doc.tokens.starts
-        self.ends = doc.tokens.ends
+        self.end = doc.tokens.end
         self.keys: list[str | None] = [*doc.keys, None]
         self.spans: list[EntitySpan] = []
         keys = self.keys
@@ -221,7 +221,7 @@ class _Tagger:
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
         start = self.starts[start_tok]
-        end = self.ends[end_tok - 1]
+        end = self.end(end_tok - 1)
         self.keys[start_tok:end_tok] = [None] * (end_tok - start_tok)
         self.spans.append(
             EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)

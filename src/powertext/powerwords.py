@@ -163,9 +163,9 @@ class PowerMatcher:
 
     def find(self, doc: Document) -> Iterator[PowerMatch]:
         """Matches over the document's tokens, in order, non-overlapping."""
-        starts, ends = doc.tokens.starts, doc.tokens.ends
+        starts, end = doc.tokens.starts, doc.tokens.end
         for start, stop, (term, category) in self._phrases.find(doc.keys):
-            yield PowerMatch(term=term, category=category, start=starts[start], end=ends[stop - 1])
+            yield PowerMatch(term=term, category=category, start=starts[start], end=end(stop - 1))
 
 
 def build_matcher(lexicon: PowerLexicon) -> PowerMatcher:

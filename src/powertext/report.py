@@ -18,10 +18,10 @@ text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import GenreAggregate
 from .defaults import (
@@ -117,23 +117,16 @@ class Resources:
     """Loaded data files for the enabled sections.
 
     The familiar-word list and syllable exceptions are always loaded —
-    surface statistics need them regardless of enabled sections.  They
-    are built, at construction, into ``word_table``, which remembers the
-    figures of every word text measured since: all documents analysed
-    with these resources share it.
+    surface statistics need them regardless of enabled sections — and
+    held by ``word_table``, which remembers the figures of every word
+    text measured since: all documents analysed with these resources
+    share it.
     """
 
-    familiar_words: frozenset[str]
-    syllable_exceptions: Mapping[str, int]
+    word_table: WordTable
     matcher: PowerMatcher | None = None
     sentiment_lexicon: SentimentLexicon | None = None
     gazetteer: Gazetteer | None = None
-    word_table: WordTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "word_table", WordTable(self.familiar_words, self.syllable_exceptions)
-        )
 
 
 def load_resources(config: AnalysisConfig) -> Resources:
@@ -142,14 +135,11 @@ def load_resources(config: AnalysisConfig) -> Resources:
     All files load before any analysis runs, so a bad file fails the
     whole run up front rather than after partial output.
     """
-    familiar_path = config.familiar_path or data_path(FAMILIAR_WORDS_FILE)
-    familiar = load_familiar_words(familiar_path)
+    familiar = load_familiar_words(config.familiar_path or data_path(FAMILIAR_WORDS_FILE))
     # The syllable-exceptions overlay has no config flag; it lives in the
     # data directory and is simply empty when the file is absent.
     exceptions_path = data_path(SYLLABLE_EXCEPTIONS_FILE)
-    exceptions: Mapping[str, int] = (
-        load_syllable_exceptions(exceptions_path) if exceptions_path.exists() else {}
-    )
+    exceptions = load_syllable_exceptions(exceptions_path) if exceptions_path.exists() else {}
 
     matcher = None
     if "power" in config.sections:
@@ -167,8 +157,7 @@ def load_resources(config: AnalysisConfig) -> Resources:
         gazetteer = load_gazetteer(config.gazetteer_path or data_path(GAZETTEER_FILE))
 
     return Resources(
-        familiar_words=familiar,
-        syllable_exceptions=exceptions,
+        word_table=WordTable(familiar, exceptions),
         matcher=matcher,
         sentiment_lexicon=sentiment_lexicon,
         gazetteer=gazetteer,

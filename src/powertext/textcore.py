@@ -17,27 +17,28 @@ are deliberately small, explicit, and heavily tested:
   a silent-e rule.
 
 A document's tokens are columns, not objects: ``Tokens`` keeps the token
-texts, start and end offsets and word flags in a list, two
-``array('q')`` and a ``bytearray``, and builds a ``Token`` only when it
-is indexed or iterated; the pipeline reads the columns.  Equal token
-texts of one document are one string object, so the text column costs a
-pointer per token and one string per distinct text.  ``tokenize`` fills
-the columns from regex scans: the engine finds every token of ASCII text,
-and only a whitespace-free chunk that holds a non-ASCII character is
-read character by character.  ``split_sentences`` visits only the runs
-of sentence terminators.
+texts, start offsets and word flags in a list, an ``array('q')`` and a
+``bytearray``, and builds a ``Token`` only when it is indexed or
+iterated; the pipeline reads the columns.  A token's end offset is its
+start plus the length of its text, so it is computed where it is needed,
+never stored.  Equal token texts of one document are one string object,
+so the text column costs a pointer per token and one string per distinct
+text.  ``tokenize`` fills the columns from regex scans: the engine finds
+every token of ASCII text, and only a whitespace-free chunk that holds a
+non-ASCII character is read character by character.  ``split_sentences``
+visits only the runs of sentence terminators.
 
 Text work is done once and shared.  ``Document.keys`` holds the
 normalized matching key of every word token (``None`` for non-word
 tokens), computed on first use with one ``normalize`` call per distinct
 token text, and every lexicon stage reads it: power words, gazetteer
 surfaces and fixed date/time phrases all match through one
-``PhraseMatcher`` over those keys.  A ``WordTable`` measures
-letters, syllables and the complex/difficult tests once per distinct
-word text per run: ``report.Resources`` owns one, so every document
-analysed with the same resources shares it.  Only the position-dependent
-part of the complex-word rule is applied per occurrence, in
-``compute_stats``.
+``PhraseMatcher`` over those keys.  A ``WordTable`` holds the familiar
+words and syllable exceptions and measures letters, syllables and the
+complex/difficult tests once per distinct word text per run:
+``report.Resources`` owns one, so every document analysed with the same
+resources shares it.  Only the position-dependent part of the
+complex-word rule is applied per occurrence, in ``compute_stats``.
 
 Every data-file loader reads its file through ``DataLines``, which holds
 the rules they share: UTF-8 with an optional byte-order mark, blank lines
@@ -146,44 +147,49 @@ class Token:
 
 
 class Tokens(Sequence[Token]):
-    """A document's tokens, stored as four parallel columns.
+    """A document's tokens, stored as three parallel columns.
 
-    ``texts[i]``, ``starts[i]``, ``ends[i]`` and ``is_word[i]`` are the
-    fields of token i: a list of strings, two ``array('q')`` of offsets
-    and a ``bytearray`` of 0/1 flags.  ``tokenize`` stores one string
-    per distinct text, so equal texts are the same object.  No ``Token``
-    object is stored: indexing and iteration build each one on demand,
-    and a slice is a tuple of them.  The columns are what the pipeline
-    reads.  Equal to a ``Tokens``, list or tuple holding equal tokens in
-    the same order; must not be modified once built.
+    ``texts[i]``, ``starts[i]`` and ``is_word[i]`` are the fields of
+    token i: a list of strings, an ``array('q')`` of offsets and a
+    ``bytearray`` of 0/1 flags.  Its end offset, ``end(i)``, is not
+    stored: the text is the exact input from its start.
+    ``tokenize`` stores one string per distinct text, so equal texts are
+    the same object.  No ``Token`` object is stored: indexing and
+    iteration build each one on demand, and a slice is a tuple of them.
+    The columns are what the pipeline reads.  Equal to a ``Tokens``, list
+    or tuple holding equal tokens in the same order; must not be modified
+    once built.
     """
 
-    __slots__ = ("texts", "starts", "ends", "is_word")
+    __slots__ = ("texts", "starts", "is_word")
 
     def __init__(self) -> None:
         self.texts: list[str] = []
         self.starts = array("q")
-        self.ends = array("q")
         self.is_word = bytearray()
 
     def __len__(self) -> int:
         return len(self.texts)
 
+    def end(self, i: int) -> int:
+        """The end offset of token ``i``."""
+        return self.starts[i] + len(self.texts[i])
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self.texts))[index]))
         i = range(len(self.texts))[index]  # negative indices, IndexError
-        return Token(self.texts[i], self.starts[i], self.ends[i], bool(self.is_word[i]))
+        return Token(self.texts[i], self.starts[i], self.end(i), bool(self.is_word[i]))
 
     def __iter__(self) -> Iterator[Token]:
-        return map(Token, self.texts, self.starts, self.ends, map(bool, self.is_word))
+        ends = map(operator.add, self.starts, map(len, self.texts))
+        return map(Token, self.texts, self.starts, ends, map(bool, self.is_word))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Tokens):
             return (
                 self.texts == other.texts
                 and self.starts == other.starts
-                and self.ends == other.ends
                 and self.is_word == other.is_word
             )
         if isinstance(other, (list, tuple)):
@@ -217,8 +223,8 @@ class Document:
 
     Sentence spans are ``(start, end)`` offsets into ``raw``; tokens are
     in reading order and each lies inside exactly one sentence span.
-    ``tokens`` is a ``Tokens``: the texts, offsets and word flags of the
-    tokens as parallel columns, which the analysis stages read directly;
+    ``tokens`` is a ``Tokens``: the texts, start offsets and word flags of
+    the tokens as parallel columns, which the analysis stages read directly;
     ``Token`` objects are built only when it is indexed or iterated.
     """
 
@@ -226,10 +232,6 @@ class Document:
     raw: str
     sentences: tuple[tuple[int, int], ...]
     tokens: Tokens
-
-    @property
-    def word_tokens(self) -> tuple[Token, ...]:
-        return tuple(t for t in self.tokens if t.is_word)
 
     @cached_property
     def keys(self) -> tuple[str | None, ...]:
@@ -466,7 +468,6 @@ def _tokenize_ascii(text: str, pos: int, endpos: int, tokens: Tokens, seen: dict
         texts = list(map(re.Match.group, batch))
         tokens.texts += map(share, texts, texts)
         tokens.starts.extend(map(re.Match.start, batch))
-        tokens.ends.extend(map(re.Match.end, batch))
         tokens.is_word.extend(map(bool, map(_LASTINDEX, batch)))
 
 
@@ -474,13 +475,12 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens, seen: dict[str, str
     """Append the tokens of one whitespace-free chunk, each text through
     ``seen``.  No token crosses whitespace, so each chunk tokenizes
     independently of its neighbours."""
-    texts, starts, ends, is_word = tokens.texts, tokens.starts, tokens.ends, tokens.is_word
+    texts, starts, is_word = tokens.texts, tokens.starts, tokens.is_word
     share = seen.setdefault
     n = len(chunk)
     if chunk.isalpha():
         texts.append(share(chunk, chunk))
         starts.append(offset)
-        ends.append(offset + n)
         is_word.append(True)
         return
     i = 0
@@ -510,7 +510,6 @@ def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens, seen: dict[str, str
         text = chunk[i:j]
         texts.append(share(text, text))
         starts.append(offset + i)
-        ends.append(offset + j)
         i = j
 
 
@@ -668,7 +667,8 @@ class WordTable:
 
     ``measure(text)`` returns ``(letters, characters, syllables, complex,
     difficult)`` for one word-token text, as measured against this
-    table's familiar words and syllable exceptions.  The figures depend
+    table's own copies of the familiar words (``familiar_words``) and
+    syllable exceptions (``exceptions``).  The figures depend
     only on the text and those two resources, so a table may be shared
     by any number of documents and threads.  It remembers the most
     recently measured texts, up to a fixed number of entries; texts
@@ -679,14 +679,12 @@ class WordTable:
 
     def __init__(
         self,
-        familiar_words: frozenset[str] | Iterable[str],
+        familiar_words: Iterable[str],
         exceptions: Mapping[str, int] | None = None,
     ) -> None:
-        familiar = (
-            familiar_words if isinstance(familiar_words, frozenset) else frozenset(familiar_words)
-        )
-        # A private copy: later edits to the caller's mapping must not
-        # leave remembered figures stale.
+        # Private copies: later edits to the caller's collections must
+        # not leave remembered figures stale.
+        familiar = frozenset(familiar_words)
         own_exceptions = dict(exceptions or {})
         self.familiar_words = familiar
         self.exceptions = own_exceptions
@@ -707,29 +705,15 @@ class WordTable:
         return self._cached.cache_info()
 
 
-def compute_stats(
-    doc: Document,
-    familiar_words: WordTable | frozenset[str] | Iterable[str],
-    exceptions: Mapping[str, int] | None = None,
-) -> TextStats:
-    """Surface statistics for ``doc``.
-
-    ``familiar_words`` is either a ``WordTable``, which already holds the
-    familiar words and syllable exceptions (``exceptions`` must then be
-    left out), or the familiar words themselves, from which a fresh
-    table is built with ``exceptions``.
+def compute_stats(doc: Document, table: WordTable) -> TextStats:
+    """Surface statistics for ``doc``, with the familiar words and
+    syllable exceptions that ``table`` holds.
 
     ``letter_count`` counts alphabetic characters inside word tokens;
     ``char_count`` counts alphanumeric ones.  An empty document yields
     all-zero stats.  Each distinct token text is measured once, by the
     table, and its figures are multiplied by its occurrence count.
     """
-    if isinstance(familiar_words, WordTable):
-        if exceptions is not None:
-            raise TypeError("a WordTable already holds its syllable exceptions")
-        table = familiar_words
-    else:
-        table = WordTable(familiar_words, exceptions)
     measure = table.measure
     occurrences = Counter(compress(doc.tokens.texts, doc.tokens.is_word))
     sentence_initial = _sentence_initial_texts(doc)

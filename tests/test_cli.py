@@ -21,7 +21,7 @@ from powertext.corpus import load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, ENV_DATA_DIR, data_path
 
 
-def run_cli(*args, data_dir=None, cwd=None):
+def run_cli(*args, data_dir=None, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     if data_dir is not None:
         env["POWERTEXT_DATA"] = str(data_dir)
@@ -29,7 +29,8 @@ def run_cli(*args, data_dir=None, cwd=None):
         env.pop("POWERTEXT_DATA", None)
     return subprocess.run(
         [sys.executable, "-m", "powertext", *map(str, args)],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         cwd=cwd,
@@ -446,6 +447,38 @@ def test_corpus_input_error_while_streaming_exits_3_without_summary(
     # Reports already written stay; the summary is never written.
     assert (out / "story.json").is_file()
     assert not (out / "corpus.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "structured"])
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_stdout_pipe_closed_by_its_reader_exits_1_with_one_error_line(
+    data_dir, sample_file, corpus_dir, command, fmt
+):
+    source = sample_file if command == "analyze" else corpus_dir / "manifest.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # gone before the child writes a byte
+    try:
+        result = run_cli(command, source, "--format", fmt, data_dir=data_dir, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    # One line: no traceback, and no "Exception ignored" at shutdown.
+    assert result.stderr.startswith("powertext: error: cannot write standard output: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_corpus_html_with_a_surrogate_charref_writes_markdown_reports(
+    data_dir, corpus_dir, tmp_path
+):
+    (corpus_dir / "odd.html").write_text(
+        "<p>Both &#xD800; and &#xDFFF; stay.</p>", encoding="utf-8"
+    )
+    manifest = corpus_dir / "odd.csv"
+    manifest.write_text("odd.html,odd,marketing,html\n", encoding="utf-8")
+    out = tmp_path / "reports"
+    result = run_cli("corpus", manifest, "--format", "markdown", "--out", out, data_dir=data_dir)
+    assert result.returncode == 0, result.stderr
+    assert "Both &#xD800; and &#xDFFF; stay." in (out / "odd.md").read_text(encoding="utf-8")
 
 
 def _corpus_peak_bytes(tmp_path, copies: int) -> int:

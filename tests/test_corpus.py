@@ -127,6 +127,14 @@ def test_named_and_numeric_entities():
     assert strip_html("&#x41;&#x61;") == "Aa"
 
 
+def test_surrogate_charref_passes_through_as_literal_text():
+    # A lone surrogate is not text: UTF-8 cannot encode it.
+    html = "a&#xD800;b &#55296; &#xdfff; &#xD7FF;&#xE000;"
+    text = strip_html(html)
+    assert text == "a&#xD800;b &#55296; &#xdfff; \ud7ff\ue000"
+    text.encode("utf-8")
+
+
 def test_unknown_named_entity_passes_through():
     assert strip_html("&copy; 2001") == "&copy; 2001"
     assert strip_html("&bogus;") == "&bogus;"

@@ -36,7 +36,7 @@ from powertext.report import (
     render_structured,
 )
 from powertext.sentiment import SentimentScore, load_sentiment_lexicon
-from powertext.textcore import TextStats, build_document
+from powertext.textcore import TextStats, WordTable, build_document
 
 # ---------------------------------------------------------------------------
 # In-memory data files for composition tests
@@ -54,8 +54,7 @@ FAMILIAR_WORDS = frozenset(
 
 def make_resources() -> Resources:
     return Resources(
-        familiar_words=FAMILIAR_WORDS,
-        syllable_exceptions={},
+        word_table=WordTable(FAMILIAR_WORDS),
         matcher=build_matcher(load_lexicon(io.StringIO(LEXICON_TEXT))),
         sentiment_lexicon=load_sentiment_lexicon(io.StringIO(SENTIMENT_TEXT)),
         gazetteer=load_gazetteer(io.StringIO(GAZETTEER_TEXT)),
@@ -209,8 +208,8 @@ def test_load_resources_from_env_data_dir(tmp_path, monkeypatch):
     write_data_dir(tmp_path)
     monkeypatch.setenv("POWERTEXT_DATA", str(tmp_path))
     resources = load_resources(AnalysisConfig())
-    assert "free" in resources.familiar_words
-    assert resources.syllable_exceptions == {"realize": 3}
+    assert "free" in resources.word_table.familiar_words
+    assert resources.word_table.exceptions == {"realize": 3}
     assert resources.matcher is not None
     assert resources.sentiment_lexicon is not None
     assert resources.gazetteer is not None
@@ -253,7 +252,7 @@ def test_load_resources_tolerates_missing_exceptions_file(tmp_path, monkeypatch)
     (tmp_path / "syllable_exceptions.tsv").unlink()
     monkeypatch.setenv("POWERTEXT_DATA", str(tmp_path))
     resources = load_resources(AnalysisConfig(sections=frozenset({"readability"})))
-    assert dict(resources.syllable_exceptions) == {}
+    assert resources.word_table.exceptions == {}
 
 
 # ---------------------------------------------------------------------------
