@@ -27,7 +27,7 @@ def main() -> None:
         defaults.data_path(defaults.SYLLABLE_EXCEPTIONS_FILE)
     )
     # The table holds both data files and remembers each word it measures.
-    stats = compute_stats(doc, WordTable(familiar, exceptions))
+    stats = compute_stats(doc, WordTable(familiar, exceptions).types(doc))
 
     print("Surface counts")
     print(f"  words                 {stats.word_count}")

@@ -122,6 +122,12 @@ _NAMED_ENTITIES = {
 }
 
 
+# What a numeric character reference that names no character decodes to
+# (a surrogate or a code point past U+10FFFF), as in the HTML standard and
+# ``html.unescape``: U+FFFD REPLACEMENT CHARACTER, which is not a word.
+_REPLACEMENT = "\ufffd"
+
+
 class _TextExtractor(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=False)
@@ -160,10 +166,10 @@ class _TextExtractor(HTMLParser):
         try:
             char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
         except (ValueError, OverflowError):
-            char = None
+            char = _REPLACEMENT  # past U+10FFFF
         # A surrogate code point is no character: UTF-8 cannot encode it.
-        if char is None or "\ud800" <= char <= "\udfff":
-            char = f"&#{name};"
+        if "\ud800" <= char <= "\udfff":
+            char = _REPLACEMENT
         self.pieces.append(char)
 
 

@@ -13,19 +13,19 @@ match through ``textcore.PhraseMatcher``: the tagger's key list holds
 ``None`` for every token a pass has claimed, so later passes never
 match across a claim.  Each pass visits only the positions where a
 match can start (number tokens, date start words, first words of a
-phrase), found by C-level scans of the key list, not every token.  The
-gazetteer file is read by ``textcore.DataLines``.
+phrase), which it filters from the document's ``CandidateIndex``, not
+every token.  The gazetteer file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import compress, count
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple, Sequence
 
-from .textcore import DataLines, Document, PhraseMatcher
+from .candidates import CandidateIndex, StartWords
+from .textcore import DataLines, Document, PhraseMatcher, is_number_key
 
 __all__ = [
     "EntityLabel",
@@ -79,30 +79,27 @@ class Gazetteer:
     """Normalized surface form -> label lookups for the curated labels.
 
     The surfaces are compiled once, at construction, into a
-    ``PhraseMatcher``.
+    ``PhraseMatcher``.  ``start_words`` holds every key but a number token
+    at which the tagger's passes can start a match: the first words of the
+    surfaces and of the time phrases, and the date start words.
     """
 
     entries: Mapping[str, EntityLabel]
     _matcher: PhraseMatcher = field(init=False, repr=False, compare=False)
+    start_words: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_matcher", PhraseMatcher(self.entries))
+        matcher = PhraseMatcher(self.entries)
+        object.__setattr__(self, "_matcher", matcher)
+        starts = _DATE_START_WORDS.union(matcher.first_words, _TIME_PHRASES.first_words)
+        object.__setattr__(self, "start_words", starts)
 
 
 # ---------------------------------------------------------------------------
 # Vocabulary for the pattern pass
 # ---------------------------------------------------------------------------
 
-_UNITS = {"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"}
-_TEENS = {
-    "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen",
-    "seventeen", "eighteen", "nineteen",
-}
-_TENS = {"twenty", "thirty", "forty", "fifty", "sixty", "seventy", "eighty", "ninety"}
-_SCALES = {"hundred", "thousand", "million", "billion", "trillion"}
-_SCALE_PLURALS = {scale + "s" for scale in _SCALES}
-_NUMBER_WORDS = _UNITS | _TEENS | _TENS | _SCALES | _SCALE_PLURALS
-
+# Number tokens (digit runs and number words) are ``textcore.is_number_key``.
 _RELATIVE_DAYS = {"today", "tomorrow", "yesterday"}
 _WEEKDAYS = {
     "monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday",
@@ -123,25 +120,12 @@ _TIME_PHRASES = PhraseMatcher(
 _YEAR_RANGE = range(1500, 2100)
 
 # Keys that can start a date other than a number token (which covers years).
-_DATE_START_WORDS = (
+_DATE_START_WORDS = frozenset(
     _MONTHS
     | _RELATIVE_DAYS
     | _WEEKDAYS
     | {phrase.split(" ")[0] for phrase in _DATE_PHRASE_TEXTS}
 )
-
-
-def _is_number_word(key: str) -> bool:
-    if key in _NUMBER_WORDS:
-        return True
-    if "-" in key:
-        parts = key.split("-")
-        return len(parts) > 1 and all(part in _NUMBER_WORDS for part in parts)
-    return False
-
-
-def _is_number_token(key: str) -> bool:
-    return key.isdigit() or _is_number_word(key)
 
 
 # ``isdecimal``, not ``isdigit``: superscripts such as "²" are digits that
@@ -199,25 +183,26 @@ class _Tagger:
     ``keys[i]`` is token i's normalized key while it is a word token no
     pass has claimed, and ``None`` otherwise; a trailing ``None`` sentinel
     ends every look-ahead at the last token without a bounds check.
-    ``date_starts`` lists the tokens that can start a date (a number
-    token or a date start word) and ``number_positions`` the number
-    tokens among them, found by one C-level scan of the keys before any
-    claim; the passes visit only candidate positions like these, never
-    every token.
+    ``index`` is the document's ``CandidateIndex``, whose start words
+    include the gazetteer's ``start_words`` and whose numbers are the
+    document's number keys.  ``date_starts`` lists the tokens that can
+    start a date (a number token or a date start word) and
+    ``number_positions`` the number tokens, both filtered from the index
+    before any claim; every pass visits only candidate positions like
+    these, never every token.
     """
 
-    def __init__(self, doc: Document):
+    def __init__(self, doc: Document, index: CandidateIndex):
         self.raw = doc.raw
         self.texts = doc.tokens.texts
         self.starts = doc.tokens.starts
         self.end = doc.tokens.end
         self.keys: list[str | None] = [*doc.keys, None]
+        self.index = index
         self.spans: list[EntitySpan] = []
-        keys = self.keys
-        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
-        date_words = numbers | _DATE_START_WORDS
-        self.date_starts = list(compress(count(), map(date_words.__contains__, keys)))
-        self.number_positions = [i for i in self.date_starts if keys[i] in numbers]
+        self.number_positions = list(index.among(index.numbers))
+        # No date start word is a number key, so no position is listed twice.
+        self.date_starts = sorted([*self.number_positions, *index.among(_DATE_START_WORDS)])
 
     def claim(self, start_tok: int, end_tok: int, label: EntityLabel) -> None:
         start = self.starts[start_tok]
@@ -227,15 +212,16 @@ class _Tagger:
             EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
         )
 
-    def number_runs(self) -> list[int]:
+    def number_runs(self) -> dict[int, int]:
         """``runs[i]``: how many unclaimed number tokens follow in a row from
-        token i (0 when token i is not one), filled right to left at the
-        number tokens only; a claimed one has a ``None`` key."""
+        token i, for each unclaimed number token i (a claimed one has a
+        ``None`` key), filled right to left, so iterating the dict
+        backwards gives the positions in order."""
         keys = self.keys
-        runs = [0] * len(keys)
+        runs: dict[int, int] = {}
         for i in reversed(self.number_positions):
             if keys[i] is not None:
-                runs[i] = runs[i + 1] + 1
+                runs[i] = runs.get(i + 1, 0) + 1
         return runs
 
     # -- date pattern helpers ------------------------------------------------
@@ -294,7 +280,7 @@ class _Tagger:
         for i in self.date_starts:
             if i < resume:
                 continue
-            length = self._match_date_at(i, runs[i])
+            length = self._match_date_at(i, runs.get(i, 0))
             if length:
                 # A date claim may include one comma token inside
                 # (month day, year): claim the token range wholesale.
@@ -304,27 +290,41 @@ class _Tagger:
     def run_phrases(self, matcher: PhraseMatcher) -> None:
         """Claim every leftmost-longest phrase of ``matcher`` among the
         unclaimed tokens, labelled with the phrase's value."""
-        # ``find`` reads no key past a match's start before yielding it,
-        # so masking the match's own keys while it runs is safe.
-        for start, stop, label in matcher.find(self.keys):
+        # ``find`` re-reads the live key at each candidate, so it sees
+        # the claims made before and while it runs.
+        for start, stop, label in matcher.find(self.keys, index=self.index):
             self.claim(start, stop, label)
 
     def run_cardinals(self) -> None:
         runs = self.number_runs()
         resume = 0
-        for i in compress(count(), runs):
+        for i in reversed(runs):
             if i >= resume:
                 resume = i + runs[i]
                 self.claim(i, resume, EntityLabel.CARDINAL)
 
 
-def tag_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
+def tag_entities(
+    doc: Document, gazetteer: Gazetteer, *, index: CandidateIndex | None = None
+) -> list[EntitySpan]:
     """All entity spans in ``doc``, ordered by start, never overlapping.
 
     Pass order (earlier wins): dates, times, cardinals, then gazetteer
-    longest-match.  Unmatched text is left untagged.
+    longest-match.  Unmatched text is left untagged.  ``index`` is the
+    document's ``CandidateIndex`` when its start words include
+    ``gazetteer.start_words`` and its numbers are the document's number
+    keys (as ``analyze`` builds it); an index built for other start words
+    or without number keys raises ``ValueError``.  Without one, the tagger
+    scans the document's keys for its own.
     """
-    tagger = _Tagger(doc)
+    if index is None:
+        distinct = set(doc.keys)
+        distinct.discard(None)
+        numbers = frozenset(filter(is_number_key, distinct))
+        index = CandidateIndex(doc.keys, StartWords(gazetteer.start_words), numbers)
+    elif index.numbers is None:
+        raise ValueError("the candidate index holds no number keys")
+    tagger = _Tagger(doc, index)
     tagger.run_dates()
     tagger.run_phrases(_TIME_PHRASES)
     tagger.run_cardinals()

@@ -5,8 +5,9 @@ words) to one of seven fixed categories.  Matching is case-insensitive,
 aligned to word-token boundaries, leftmost-longest, and non-overlapping,
 so a phrase entry like "risk free" counts once rather than once for the
 phrase and once for "free".  The matching itself is the shared
-``textcore.PhraseMatcher`` over ``Document.keys``; the lexicon file is
-read by ``textcore.DataLines``.
+``textcore.PhraseMatcher`` over ``Document.keys``, visiting the
+document's ``CandidateIndex`` positions; the lexicon file is read by
+``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping, NamedTuple
+from typing import IO, AbstractSet, Iterator, Mapping, NamedTuple
 
 from .errors import DataFileError
+from .candidates import CandidateIndex
 from .textcore import DataLines, Document, PhraseMatcher
 
 __all__ = [
@@ -161,10 +163,16 @@ class PowerMatcher:
             {term: (term, category) for term, category in lexicon.entries.items()}
         )
 
-    def find(self, doc: Document) -> Iterator[PowerMatch]:
-        """Matches over the document's tokens, in order, non-overlapping."""
+    @property
+    def first_words(self) -> AbstractSet[str]:
+        """The keys a term can start with."""
+        return self._phrases.first_words
+
+    def find(self, doc: Document, *, index: CandidateIndex | None = None) -> Iterator[PowerMatch]:
+        """Matches over the document's tokens, in order, non-overlapping;
+        ``index`` is as for ``PhraseMatcher.find`` over ``doc.keys``."""
         starts, end = doc.tokens.starts, doc.tokens.end
-        for start, stop, (term, category) in self._phrases.find(doc.keys):
+        for start, stop, (term, category) in self._phrases.find(doc.keys, index=index):
             yield PowerMatch(term=term, category=category, start=starts[start], end=end(stop - 1))
 
 
@@ -173,13 +181,17 @@ def build_matcher(lexicon: PowerLexicon) -> PowerMatcher:
     return PowerMatcher(lexicon)
 
 
-def scan(doc: Document, matcher: PowerMatcher) -> PowerWordHits:
+def scan(
+    doc: Document, matcher: PowerMatcher, *, index: CandidateIndex | None = None
+) -> PowerWordHits:
     """All lexicon hits in ``doc``, with per-category counts.
 
     A document with no matches yields all-zero counts (never an error).
+    ``index``, the document's ``CandidateIndex`` with the matcher's first
+    words among its start words, saves a scan of every key.
     """
     counts: dict[PowerCategory, int] = {category: 0 for category in PowerCategory}
-    matches = tuple(matcher.find(doc))
+    matches = tuple(matcher.find(doc, index=index))
     for match in matches:
         counts[match.category] += 1
     return PowerWordHits(counts=counts, matches=matches)

@@ -2,8 +2,11 @@
 
 ``analyze`` runs the enabled analysis sections over one document in a
 fixed order (stats, readability, power words, sentiment, entities),
-collects any warnings, and records the sections that ran in
-``AnalysisReport.sections``; both renderers show exactly those sections.
+looking each distinct word text up once in the resources' ``WordTable``
+and scanning the keys once for a ``CandidateIndex`` that the power,
+sentiment and entity stages share.  It collects any warnings and
+records the sections that ran in ``AnalysisReport.sections``; both
+renderers show exactly those sections.
 The caller chooses the output format by calling a renderer:
 ``render_structured`` emits deterministic JSON (stable key order,
 two-decimal rounding, UTF-8, byte-identical for identical inputs) with
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +50,7 @@ from .powerwords import (
 )
 from .readability import READABILITY_INDICES, ReadabilityReport, readability_report
 from .sentiment import SentimentLexicon, SentimentScore, analyze_sentiment, load_sentiment_lexicon
+from .candidates import CandidateIndex, StartWords
 from .textcore import (
     Document,
     TextStats,
@@ -83,6 +88,9 @@ _STATS_FIELDS = (
     ("difficult_word_count", "difficult_words", "Difficult words"),
 )
 
+# Sections that read the candidate index.
+_INDEXED_SECTIONS = frozenset(("power", "sentiment", "entities"))
+
 WARN_SMOG_LOW_SAMPLE = "smog-low-sample"
 WARN_EMPTY_DISTRIBUTION = "power-distribution-empty"
 
@@ -118,15 +126,30 @@ class Resources:
 
     The familiar-word list and syllable exceptions are always loaded —
     surface statistics need them regardless of enabled sections — and
-    held by ``word_table``, which remembers the figures of every word
-    text measured since: all documents analysed with these resources
-    share it.
+    held by ``word_table``, the run's type table, which remembers the key
+    and figures of every word text looked up since: all documents
+    analysed with these resources share it.  ``start_words``, computed on
+    first use, is the ``StartWords`` of the loaded data (power terms'
+    first words, sentiment entries, the tagger's phrase and date start
+    words), against which ``analyze`` builds each document's
+    ``CandidateIndex``.
     """
 
     word_table: WordTable
     matcher: PowerMatcher | None = None
     sentiment_lexicon: SentimentLexicon | None = None
     gazetteer: Gazetteer | None = None
+
+    @cached_property
+    def start_words(self) -> StartWords:
+        parts = []
+        if self.matcher is not None:
+            parts.append(self.matcher.first_words)
+        if self.sentiment_lexicon is not None:
+            parts.append(self.sentiment_lexicon.entries)
+        if self.gazetteer is not None:
+            parts.append(self.gazetteer.start_words)
+        return StartWords(*parts)
 
 
 def load_resources(config: AnalysisConfig) -> Resources:
@@ -216,7 +239,14 @@ def analyze(
         raise ValueError(f"resources lack the data of enabled sections: {', '.join(missing)}")
     warnings: list[str] = list(extra_warnings)
 
-    stats = compute_stats(doc, resources.word_table)
+    types = resources.word_table.types(doc)
+    stats = compute_stats(doc, types)
+    index = None
+    if config.sections & _INDEXED_SECTIONS:
+        # The number keys are only the entity tagger's candidates.
+        numbers = types.numbers() if "entities" in config.sections else None
+        index = CandidateIndex(types.fill_keys(doc), resources.start_words, numbers)
+    del types  # one entry per distinct word text: free it before the scans
 
     readability = None
     if "readability" in config.sections:
@@ -231,18 +261,18 @@ def analyze(
     power = None
     power_distribution = None
     if "power" in config.sections:
-        power = scan(doc, resources.matcher)
+        power = scan(doc, resources.matcher, index=index)
         power_distribution = distribution(power)
         if power_distribution.empty:
             warnings.append(WARN_EMPTY_DISTRIBUTION)
 
     sentiment = None
     if "sentiment" in config.sections:
-        sentiment = analyze_sentiment(doc, resources.sentiment_lexicon)
+        sentiment = analyze_sentiment(doc, resources.sentiment_lexicon, index=index)
 
     entities = None
     if "entities" in config.sections:
-        entities = tuple(tag_entities(doc, resources.gazetteer))
+        entities = tuple(tag_entities(doc, resources.gazetteer, index=index))
 
     return AnalysisReport(
         document=doc,

@@ -1,24 +1,24 @@
 """Lexicon-based sentiment: polarity in [-1, 1], subjectivity in [0, 1].
 
-Scoring visits only the word tokens found in the lexicon, picked out by
-a C-level scan of the document's word keys.  Every such token
-contributes its entry polarity, scaled by the intensity factor
-of an immediately preceding modifier ("very", "slightly", ...) and
-flipped-and-dampened by -0.5 when a negator appears within the three
-preceding word tokens.  The document score is the arithmetic mean of
-those contributions (so length alone cannot saturate it), clamped into
-range; a document with no lexicon hits scores exactly (0, 0).  The
-lexicon file is read by ``textcore.DataLines``.
+Scoring visits only the word tokens found in the lexicon, filtered from
+the document's ``CandidateIndex``.  Every such token contributes its
+entry polarity, scaled by the intensity factor of an immediately
+preceding modifier ("very", "slightly", ...) and flipped-and-dampened by
+-0.5 when a negator appears within the three preceding word tokens;
+punctuation between them does not count.  The document score is the
+arithmetic mean of those contributions (so length alone cannot saturate
+it), clamped into range; a document with no lexicon hits scores exactly
+(0, 0).  The lexicon file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 from pathlib import Path
 from statistics import fmean
-from typing import IO, Mapping, NamedTuple
+from typing import IO, Mapping, NamedTuple, Sequence
 
+from .candidates import CandidateIndex, StartWords
 from .textcore import DataLines, Document
 
 __all__ = [
@@ -132,29 +132,53 @@ def _clamp(value: float, low: float, high: float) -> float:
     return min(high, max(low, value))
 
 
-def analyze_sentiment(doc: Document, lex: SentimentLexicon) -> SentimentScore:
+def _words_before(keys: Sequence[str | None], i: int) -> list[str]:
+    """The keys of the last ``NEGATION_WINDOW`` word tokens before token
+    ``i`` (fewer at the start), nearest last; non-word tokens, whose key
+    is ``None``, are skipped.  The window read doubles until it holds
+    enough words, so a long run of punctuation costs a few slices."""
+    step = NEGATION_WINDOW
+    low = max(0, i - step)
+    words = list(filter(None, keys[low:i]))
+    while len(words) < NEGATION_WINDOW and low > 0:
+        step *= 2
+        high, low = low, max(0, low - step)
+        words[:0] = filter(None, keys[low:high])
+    return words[-NEGATION_WINDOW:]
+
+
+def analyze_sentiment(
+    doc: Document, lex: SentimentLexicon, *, index: CandidateIndex | None = None
+) -> SentimentScore:
     """Mean-of-matches sentiment for one document.
 
     Modifier tokens are skipped as matches even when they also appear in
     the entry table, so "very" can boost a neighbor without scoring
     itself.  Results are clamped to polarity [-1, 1], subjectivity
-    [0, 1]; zero matches yield exactly (0.0, 0.0).
+    [0, 1]; zero matches yield exactly (0.0, 0.0).  ``index`` is the
+    document's ``CandidateIndex`` when its start words include the
+    entry terms (as ``analyze`` builds it; another index raises
+    ``ValueError``); without one, the entries are found by a scan of the
+    document's keys.
     """
-    keys = list(compress(doc.keys, doc.tokens.is_word))
+    keys = doc.keys
     entries, modifiers, negators = lex.entries, lex.modifiers, lex.negators
+    if index is None:
+        index = CandidateIndex(keys, StartWords(entries))
     contributions: list[float] = []
     subjectivities: list[float] = []
 
     # Only the word tokens found in the entry table are visited.
-    for idx in compress(count(), map(entries.__contains__, keys)):
-        key = keys[idx]
+    for i in index.among(entries):
+        key = keys[i]
         if key in modifiers:
             continue
         entry = entries[key]
         polarity = entry.polarity
-        if idx >= 1 and keys[idx - 1] in modifiers:
-            polarity *= modifiers[keys[idx - 1]]
-        if not negators.isdisjoint(keys[max(0, idx - NEGATION_WINDOW) : idx]):
+        before = _words_before(keys, i)
+        if before and before[-1] in modifiers:
+            polarity *= modifiers[before[-1]]
+        if not negators.isdisjoint(before):
             polarity *= NEGATION_FACTOR
         contributions.append(polarity)
         subjectivities.append(entry.subjectivity)

@@ -28,17 +28,27 @@ every token of ASCII text, and only a whitespace-free chunk that holds a
 non-ASCII character is read character by character.  ``split_sentences``
 visits only the runs of sentence terminators.
 
-Text work is done once and shared.  ``Document.keys`` holds the
-normalized matching key of every word token (``None`` for non-word
-tokens), computed on first use with one ``normalize`` call per distinct
-token text, and every lexicon stage reads it: power words, gazetteer
-surfaces and fixed date/time phrases all match through one
-``PhraseMatcher`` over those keys.  A ``WordTable`` holds the familiar
-words and syllable exceptions and measures letters, syllables and the
-complex/difficult tests once per distinct word text per run:
-``report.Resources`` owns one, so every document analysed with the same
-resources shares it.  Only the position-dependent part of the
-complex-word rule is applied per occurrence, in ``compute_stats``.
+Text work is done once and shared.  A ``WordTable`` is a run's type
+table: for each distinct word text it normalizes the text once and keeps
+its matching key, its statistics figures (letters, syllables, the
+complex/difficult tests) and whether it is a number token, bounded and
+least recently used first out.  ``report.Resources`` owns one, so every
+document analysed with the same resources shares it: ``analyze`` looks
+each distinct word text of a document up once (``WordTable.types``),
+fills ``Document.keys`` from those entries and sums the statistics from
+them.  Only the position-dependent part of the complex-word rule is
+applied per occurrence, in ``compute_stats``.  A bare ``Document``
+computes its own keys on first use, one ``normalize`` call per distinct
+token text.
+
+Every lexicon stage reads the keys, and visits only candidates: power
+words, gazetteer surfaces and fixed date/time phrases all match through
+one ``PhraseMatcher``, and sentiment scores lexicon entries.  A
+``candidates.CandidateIndex`` holds the positions (and keys) where some
+stage's match can start, picked out by one C-level scan of the key
+column against the union of the stages' start words; ``analyze`` builds
+one per document and each stage filters that short list.  A stage called
+on a bare ``Document`` makes its own index.
 
 Every data-file loader reads its file through ``DataLines``, which holds
 the rules they share: UTF-8 with an optional byte-order mark, blank lines
@@ -56,10 +66,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count, islice
+from itertools import compress, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
+from .candidates import CandidateIndex, StartWords
 from .errors import DataFileError, InputTextError
 
 __all__ = [
@@ -68,7 +79,9 @@ __all__ = [
     "TextStats",
     "Document",
     "WordTable",
+    "DocumentTypes",
     "normalize",
+    "is_number_key",
     "split_sentences",
     "tokenize",
     "count_syllables",
@@ -236,19 +249,17 @@ class Document:
     @cached_property
     def keys(self) -> tuple[str | None, ...]:
         """``normalize(tok.text)`` for each word token, ``None`` for each
-        non-word token, aligned with ``tokens``.
+        non-word token, aligned with ``tokens``; tokens with equal text
+        share one key string.
 
-        Computed on first use, once per distinct token text; tokens with
-        equal text share one key string.
+        ``analyze`` fills it from its resources' ``WordTable``
+        (``DocumentTypes.fill_keys``); on a bare document it is computed
+        on first use, one ``normalize`` call per distinct token text.
         """
         tokens = self.tokens
         # A non-word text is never a word text, so it looks up ``None``.
         memo = {text: normalize(text) for text in set(compress(tokens.texts, tokens.is_word))}
         return tuple(map(memo.get, tokens.texts))
-
-    def sentence_text(self, index: int) -> str:
-        start, end = self.sentences[index]
-        return self.raw[start:end]
 
 
 class PhraseMatcher:
@@ -260,9 +271,9 @@ class PhraseMatcher:
     such as ``Document.keys``, where a ``None`` key is a barrier no phrase
     crosses: a non-word token, or a token an earlier pass has claimed.
     ``find`` visits only the candidate positions, the keys that start
-    some phrase, which a C-level scan of the key sequence picks out, and
-    walks the trie from a candidate only when a phrase can end past its
-    first word or at it.  Phrases are a few words long, so each walk is
+    some phrase, which it filters from a document's ``CandidateIndex``,
+    and walks the trie from a candidate only when a phrase can end past
+    its first word or at it.  Phrases are a few words long, so each walk is
     short and the scan needs no failure links.  Immutable, so safe to
     share between threads.
     """
@@ -280,6 +291,11 @@ class PhraseMatcher:
             node[None] = value
         self._root = root
 
+    @property
+    def first_words(self) -> AbstractSet[str]:
+        """The keys a phrase can start with."""
+        return self._root.keys()
+
     def longest_at(self, keys: Sequence[str | None], i: int) -> tuple[int, object] | None:
         """``(stop, value)`` of the longest phrase that is exactly
         ``keys[i:stop]``, or ``None`` when no phrase starts at ``i``."""
@@ -296,22 +312,32 @@ class PhraseMatcher:
                 best = (j + 1, node[None])
         return best
 
-    def find(self, keys: Sequence[str | None]) -> Iterator[tuple[int, int, object]]:
+    def find(
+        self, keys: Sequence[str | None], *, index: CandidateIndex | None = None
+    ) -> Iterator[tuple[int, int, object]]:
         """``(start, stop, value)`` of each leftmost-longest match, in
         order and non-overlapping: the scan resumes at each ``stop``.
 
-        A caller may set a yielded match's ``keys[start:stop]`` to
-        ``None`` before asking for the next match, as the entity tagger's
-        claims do: the lazy ``map`` has read no key past ``start`` when
-        the match is yielded, so the scan sees the masked keys.
+        ``index``, a ``CandidateIndex`` built over ``keys`` whose start
+        words include ``first_words``, gives the candidate positions (an
+        index built for other words raises ``ValueError``); without one,
+        ``find`` builds its own from ``keys``.  A caller
+        may set a yielded match's ``keys[start:stop]`` to ``None`` before
+        asking for the next match, as the entity tagger's claims do, or
+        mask keys before the scan: the live key is re-read at each
+        candidate, so the scan sees the masked keys.
         """
         root = self._root
         last = len(keys) - 1
         stop = 0
-        for i in compress(count(), map(root.__contains__, keys)):
+        if index is None:
+            index = CandidateIndex(keys, StartWords(root))
+        for i in index.among(root):
             if i < stop:
                 continue
-            node = root[keys[i]]
+            node = root.get(keys[i])
+            if node is None:  # masked since the index was built
+                continue
             # Walk only when the first word is a phrase by itself or the
             # next key continues one; most candidates ("the") do neither.
             if None in node or (i < last and keys[i + 1] in node):
@@ -341,6 +367,27 @@ def normalize(text: str) -> str:
     """
     folded = unicodedata.normalize("NFC", text).lower()
     return folded.replace("’", "'")
+
+
+# Spelled-out number words: with digit runs, the number tokens of the
+# entity tagger, whose test ``WordTable`` keeps per word text.
+_UNITS = {"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"}
+_TEENS = {
+    "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen",
+    "seventeen", "eighteen", "nineteen",
+}
+_TENS = {"twenty", "thirty", "forty", "fifty", "sixty", "seventy", "eighty", "ninety"}
+_SCALES = {"hundred", "thousand", "million", "billion", "trillion"}
+_SCALE_PLURALS = {scale + "s" for scale in _SCALES}
+_NUMBER_WORDS = frozenset(_UNITS | _TEENS | _TENS | _SCALES | _SCALE_PLURALS)
+
+
+def is_number_key(key: str) -> bool:
+    """Whether a word key is a number token: a run of digits, a number
+    word, or number words joined by hyphens (``twenty-five``)."""
+    if key.isdigit() or key in _NUMBER_WORDS:
+        return True
+    return "-" in key and all(part in _NUMBER_WORDS for part in key.split("-"))
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +643,27 @@ def build_document(doc_id: str, text: str) -> Document:
 _COMPLEX_SUFFIXES = ("ing", "es", "ed")
 
 
+# What a ``WordTable`` holds for one word text, an entry: ``(key,
+# letters, characters, syllables, complex, difficult, number)``.
+WordType = tuple[str, int, int, int, bool, bool, bool]
+_KEY = operator.itemgetter(0)
+_NUMBER = operator.itemgetter(6)
+
+
 def _word_type(
     text: str,
     familiar_words: frozenset[str],
     exceptions: Mapping[str, int] | None,
-) -> tuple[int, int, int, bool, bool]:
-    """``(letters, characters, syllables, complex, difficult)`` of one
-    distinct word-token text.
+) -> WordType:
+    """The entry of one distinct word-token text.
 
-    ``complex`` is the Gunning-Fog test without its position-dependent
-    part: three or more syllables, excluding hyphenated compounds and
-    words that only reach three syllables through a common suffix (-es,
-    -ed, -ing).  ``difficult`` is the Dale-Chall test: neither the
-    lowercased form nor its naive singular (one trailing ``s`` stripped)
-    is on the familiar list.
+    ``key`` is ``normalize(text)``.  ``complex`` is the Gunning-Fog test
+    without its position-dependent part: three or more syllables,
+    excluding hyphenated compounds and words that only reach three
+    syllables through a common suffix (-es, -ed, -ing).  ``difficult`` is
+    the Dale-Chall test: neither the lowercased form nor its naive
+    singular (one trailing ``s`` stripped) is on the familiar list.
+    ``number`` is ``is_number_key(key)``.
     """
     # Counted on the NFC form: decomposed Hangul jamo are letters too.
     composed = unicodedata.normalize("NFC", text)
@@ -633,7 +687,9 @@ def _word_type(
     is_difficult = lower not in familiar_words and not (
         lower.endswith("s") and lower[:-1] in familiar_words
     )
-    return letters, characters, syllables, is_complex, is_difficult
+    # An already-normalized text is its own key: the table keeps one string.
+    key = text if lower == text else lower
+    return key, letters, characters, syllables, is_complex, is_difficult, is_number_key(lower)
 
 
 def _sentence_initial_texts(doc: Document) -> Counter[str]:
@@ -653,29 +709,34 @@ def _sentence_initial_texts(doc: Document) -> Counter[str]:
 
 # Word texts a ``WordTable`` remembers, least recently used dropped first,
 # and the longest text it remembers.  Measured with tracemalloc on
-# CPython 3.11, an entry costs about 160 bytes (cache link, dict slot,
-# figures tuple) plus its key string: 57 bytes for an 8-letter ASCII
-# word, at most 332 for 64 characters.  A full table of ordinary words
-# is about 3.4 MiB and can never pass about 8 MiB.
+# CPython 3.11, an entry costs about 180 bytes (cache link, dict slot,
+# entry tuple) plus its text: 57 bytes for an 8-letter ASCII word, at
+# most 332 for 64 characters, and as much again for a key that differs
+# from its text.  A full table of ordinary words is about 4 MiB and can
+# never pass about 14 MiB.
 _WORD_TABLE_SIZE = 16384
 _WORD_TABLE_TEXT_MAX = 64
 
 
 class WordTable:
-    """The per-type figures of word-token texts, remembered across
-    documents.
+    """A run's type table: the entry (``WordType``) of word-token texts,
+    remembered across documents.
 
-    ``measure(text)`` returns ``(letters, characters, syllables, complex,
-    difficult)`` for one word-token text, as measured against this
-    table's own copies of the familiar words (``familiar_words``) and
-    syllable exceptions (``exceptions``).  The figures depend
-    only on the text and those two resources, so a table may be shared
-    by any number of documents and threads.  It remembers the most
-    recently measured texts, up to a fixed number of entries; texts
-    longer than a fixed length are measured on every call.
+    ``entry(text)`` normalizes one word-token text and measures it against
+    this table's own copies of the familiar words (``familiar_words``) and
+    syllable exceptions (``exceptions``).  An entry depends only on the
+    text, those two resources and the functions it is derived with, so a
+    table may be shared by any number of documents and threads.  It
+    remembers the most recently used texts, up to a fixed number of
+    entries, and drops the least recently used first; texts longer than a
+    fixed length are measured on every call.  When this module's
+    ``normalize`` or ``count_syllables`` is rebound (a monkeypatch, a
+    profiler's wrapper), the table forgets what it remembers, so its
+    entries always come from the functions a bare ``Document`` would use.
+    ``types(doc)`` looks each distinct word text of a document up once.
     """
 
-    __slots__ = ("familiar_words", "exceptions", "_cached")
+    __slots__ = ("familiar_words", "exceptions", "_cached", "_functions")
 
     def __init__(
         self,
@@ -690,32 +751,78 @@ class WordTable:
         self.exceptions = own_exceptions
 
         @lru_cache(maxsize=_WORD_TABLE_SIZE)
-        def cached(text: str) -> tuple[int, int, int, bool, bool]:
+        def cached(text: str) -> WordType:
             return _word_type(text, familiar, own_exceptions)
 
         self._cached = cached
+        self._functions = (normalize, count_syllables)
 
-    def measure(self, text: str) -> tuple[int, int, int, bool, bool]:
+    def _current(self):
+        """The cached entry function, emptied first if the functions an
+        entry is derived with were rebound since it was filled."""
+        functions = (normalize, count_syllables)
+        if functions != self._functions:
+            self._cached.cache_clear()
+            self._functions = functions
+        return self._cached
+
+    def entry(self, text: str) -> WordType:
         if len(text) > _WORD_TABLE_TEXT_MAX:
             return _word_type(text, self.familiar_words, self.exceptions)
-        return self._cached(text)
+        return self._current()(text)
+
+    def types(self, doc: Document) -> DocumentTypes:
+        """The distinct word texts of ``doc`` with their entries."""
+        counts = Counter(compress(doc.tokens.texts, doc.tokens.is_word))
+        cached = self._current()
+        # The cached function directly, in C, unless a text is too long.
+        fits = max(map(len, counts), default=0) <= _WORD_TABLE_TEXT_MAX
+        return DocumentTypes(counts, list(map(cached if fits else self.entry, counts)))
 
     def cache_info(self):
         """Hits, misses, maximum and current size of the remembered texts."""
         return self._cached.cache_info()
 
 
-def compute_stats(doc: Document, table: WordTable) -> TextStats:
-    """Surface statistics for ``doc``, with the familiar words and
-    syllable exceptions that ``table`` holds.
+class DocumentTypes:
+    """The distinct word texts of one document and their table entries:
+    ``counts`` maps each text to its number of occurrences, in order of
+    first occurrence, and ``entries`` holds their entries in the same
+    order."""
+
+    __slots__ = ("counts", "entries")
+
+    def __init__(self, counts: Counter[str], entries: list[WordType]) -> None:
+        self.counts = counts
+        self.entries = entries
+
+    def numbers(self) -> frozenset[str]:
+        """The document's number keys."""
+        entries = self.entries
+        return frozenset(compress(map(_KEY, entries), map(_NUMBER, entries)))
+
+    def fill_keys(self, doc: Document) -> tuple[str | None, ...]:
+        """``doc.keys``, filled from the entries unless ``doc`` has
+        computed them already; ``doc`` is the document of these types."""
+        keys = doc.__dict__.get("keys")
+        if keys is None:
+            memo = dict(zip(self.counts, map(_KEY, self.entries)))
+            keys = tuple(map(memo.get, doc.tokens.texts))
+            # ``keys`` is a cached property: it reads the instance's dict.
+            object.__setattr__(doc, "keys", keys)
+        return keys
+
+
+def compute_stats(doc: Document, types: DocumentTypes) -> TextStats:
+    """Surface statistics for ``doc`` from ``types``, its distinct word
+    texts and their entries: ``table.types(doc)`` of a ``WordTable``
+    holding the familiar words and syllable exceptions to measure with.
 
     ``letter_count`` counts alphabetic characters inside word tokens;
     ``char_count`` counts alphanumeric ones.  An empty document yields
-    all-zero stats.  Each distinct token text is measured once, by the
-    table, and its figures are multiplied by its occurrence count.
+    all-zero stats.  Each distinct token text's figures are multiplied by
+    its occurrence count.
     """
-    measure = table.measure
-    occurrences = Counter(compress(doc.tokens.texts, doc.tokens.is_word))
     sentence_initial = _sentence_initial_texts(doc)
 
     word_count = 0
@@ -726,8 +833,8 @@ def compute_stats(doc: Document, table: WordTable) -> TextStats:
     complex_word_count = 0
     difficult_word_count = 0
 
-    for text, n in occurrences.items():
-        letters, characters, syllables, is_complex, is_difficult = measure(text)
+    for (text, n), entry in zip(types.counts.items(), types.entries):
+        _key, letters, characters, syllables, is_complex, is_difficult, _number = entry
         word_count += n
         letter_count += n * letters
         char_count += n * characters

@@ -3,6 +3,7 @@ and genre-level aggregation."""
 
 from __future__ import annotations
 
+import html as html_module
 import io
 import random
 
@@ -23,7 +24,7 @@ from powertext.corpus import (
 from powertext.errors import DataFileError, InputTextError
 from powertext.powerwords import CategoryDistribution, PowerCategory
 from powertext.readability import ReadabilityReport
-from powertext.report import AnalysisReport
+from powertext.report import AnalysisConfig, AnalysisReport, analyze, load_resources
 from powertext.sentiment import SentimentScore
 from powertext.textcore import TextStats, build_document
 
@@ -128,11 +129,25 @@ def test_named_and_numeric_entities():
 
 
 def test_surrogate_charref_passes_through_as_literal_text():
-    # A lone surrogate is not text: UTF-8 cannot encode it.
-    html = "a&#xD800;b &#55296; &#xdfff; &#xD7FF;&#xE000;"
+    # A lone surrogate is not text: UTF-8 cannot encode it.  Like a code
+    # point past U+10FFFF, it decodes to U+FFFD, as ``html.unescape`` has it.
+    html = "a&#xD800;b &#55296; &#xdfff; &#xD7FF;&#xE000; &#x110000; &#99999999999999999999;"
     text = strip_html(html)
-    assert text == "a&#xD800;b &#55296; &#xdfff; \ud7ff\ue000"
+    assert text == "a\ufffdb \ufffd \ufffd \ud7ff\ue000 \ufffd \ufffd"
+    assert text == html_module.unescape(html)
     text.encode("utf-8")
+
+
+def test_undecodable_charref_adds_no_word_and_no_entity():
+    # A reference kept as literal text would leave its digits to count as
+    # a word and be tagged CARDINAL.
+    config = AnalysisConfig()
+    resources = load_resources(config)
+    for ref in ("&#xD800;", "&#55296;", "&#x110000;"):
+        text = strip_html(f"<p>Bold {ref} and {ref}stay.</p>")
+        report = analyze(build_document("odd", text), config, resources=resources)
+        assert report.stats.word_count == 3  # Bold, and, stay
+        assert report.entities == ()
 
 
 def test_unknown_named_entity_passes_through():

@@ -11,16 +11,19 @@ word) and skips a leading byte-order mark.  ``reference_find``,
 ``ReferenceTagger`` and ``reference_analyze_sentiment`` are copies of the
 phrase matcher, entity passes and sentiment scorer that visited every
 token, which the candidate-position scans replaced.  The library must
-agree with them on every input.
+agree with them on every input, both on a bare ``Document`` and through
+``analyze``, whose stages share one ``CandidateIndex`` per document.
 """
 
 from __future__ import annotations
 
 import string
 import unicodedata
+from array import array
 from statistics import fmean
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,11 +39,11 @@ from powertext.entities import (
     EntitySpan,
     Gazetteer,
     _is_day_of_month,
-    _is_number_token,
     _is_year,
     load_gazetteer,
     tag_entities,
 )
+from powertext.report import AnalysisConfig, Resources, analyze
 from powertext.sentiment import (
     NEGATION_FACTOR,
     NEGATION_WINDOW,
@@ -49,6 +52,7 @@ from powertext.sentiment import (
     SentimentScore,
     analyze_sentiment,
 )
+from powertext.candidates import CandidateIndex, StartWords
 from powertext.textcore import (
     Document,
     PhraseMatcher,
@@ -58,6 +62,7 @@ from powertext.textcore import (
     build_document,
     compute_stats,
     count_syllables,
+    is_number_key,
     normalize,
     split_sentences,
     tokenize,
@@ -402,9 +407,8 @@ def test_document_keeps_a_byte_order_mark_that_is_not_at_offset_0():
 def test_per_type_stats_equal_per_occurrence_reference(text):
     doc = build_document("t", text)
     for exceptions in (None, _EXCEPTIONS):
-        assert compute_stats(doc, WordTable(_FAMILIAR, exceptions)) == reference_compute_stats(
-            doc, _FAMILIAR, exceptions
-        )
+        stats = compute_stats(doc, WordTable(_FAMILIAR, exceptions).types(doc))
+        assert stats == reference_compute_stats(doc, _FAMILIAR, exceptions)
 
 
 @settings(max_examples=100, deadline=None)
@@ -417,7 +421,7 @@ def test_stats_from_a_table_shared_across_documents_equal_reference(texts):
         table = WordTable(_FAMILIAR, exceptions)
         for i, text in enumerate(texts):
             doc = build_document(f"t{i}", text)
-            assert compute_stats(doc, table) == reference_compute_stats(
+            assert compute_stats(doc, table.types(doc)) == reference_compute_stats(
                 doc, _FAMILIAR, exceptions
             )
 
@@ -427,20 +431,41 @@ def test_word_table_stays_within_its_cap():
     cap = table.cache_info().maxsize
     words = [f"w{i}" for i in range(cap + 100)]
     doc = build_document("many", " ".join(words))
-    assert compute_stats(doc, table).word_count == cap + 100
+    assert compute_stats(doc, table.types(doc)).word_count == cap + 100
     info = table.cache_info()
     assert info.misses == cap + 100
     assert info.currsize == cap
     # Least recently used texts are dropped first: the last ones remain.
-    assert compute_stats(build_document("last", words[-1]), table).word_count == 1
+    last = build_document("last", words[-1])
+    assert compute_stats(last, table.types(last)).word_count == 1
     assert table.cache_info().hits == 1
+
+
+def test_a_document_with_more_distinct_texts_than_the_cap_looks_each_up_once():
+    # Through ``analyze`` the statistics and the keys share one lookup per
+    # distinct text, so the texts that do not fit are not measured twice.
+    table = WordTable(_FAMILIAR)
+    cap = table.cache_info().maxsize
+    words = [f"w{i}" for i in range(cap + 100)]
+    text = " ".join(words + words[:50] + ["not good"])
+    resources = Resources(word_table=table, sentiment_lexicon=_SENTIMENT_LEXICON)
+    config = AnalysisConfig(sections=frozenset({"readability", "sentiment"}))
+    doc = build_document("many", text)
+    report = analyze(doc, config, resources=resources)
+    info = table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (cap + 102, 0, cap)
+    bare = build_document("many", text)
+    assert report.stats == reference_compute_stats(bare, _FAMILIAR, None)
+    assert doc.keys == bare.keys
+    assert report.sentiment == reference_analyze_sentiment(bare, _SENTIMENT_LEXICON)
+    assert report.sentiment.matched_terms == 1
 
 
 def test_word_table_measures_long_texts_without_keeping_them():
     table = WordTable(_FAMILIAR)
     long_word = "ab" * 5000
     doc = build_document("long", f"{long_word} {long_word} short")
-    assert compute_stats(doc, table) == reference_compute_stats(doc, _FAMILIAR, None)
+    assert compute_stats(doc, table.types(doc)) == reference_compute_stats(doc, _FAMILIAR, None)
     assert table.cache_info().currsize == 1  # only "short"
 
 
@@ -459,7 +484,7 @@ def test_stats_are_equal_for_nfc_and_nfd_forms(text):
     nfd = build_document("d", unicodedata.normalize("NFD", text))
     for exceptions in (None, _EXCEPTIONS):
         table = WordTable(_FAMILIAR, exceptions)
-        assert compute_stats(nfc, table) == compute_stats(nfd, table)
+        assert compute_stats(nfc, table.types(nfc)) == compute_stats(nfd, table.types(nfd))
 
 
 def test_nfd_accents_stay_inside_their_words():
@@ -540,7 +565,7 @@ class ReferenceTagger:
 
     def number_runs(self) -> list[int]:
         keys = self.keys
-        numbers = {key for key in set(keys) if key is not None and _is_number_token(key)}
+        numbers = {key for key in set(keys) if key is not None and is_number_key(key)}
         runs = [0] * len(keys)
         for i in range(len(self.texts) - 1, -1, -1):
             if keys[i] in numbers:
@@ -748,4 +773,120 @@ def test_analyze_sentiment_equals_reference(text):
     doc = build_document("t", text)
     assert analyze_sentiment(doc, _SENTIMENT_LEXICON) == reference_analyze_sentiment(
         doc, _SENTIMENT_LEXICON
+    )
+
+
+# ---------------------------------------------------------------------------
+# The candidate index
+# ---------------------------------------------------------------------------
+
+
+def test_candidate_index_keeps_positions_in_an_array():
+    keys = ("the", None, "free", "x", "the", "7")
+    index = CandidateIndex(keys, StartWords({"the", "free", "absent"}), frozenset({"7"}))
+    assert index.positions == array("q", [0, 2, 4, 5])
+    assert index.keys == ["the", "free", "the", "7"]
+    assert list(index.among({"the", "free"})) == [0, 2, 4]
+    assert list(index.among(index.numbers)) == [5]
+    assert list(index.among(frozenset())) == []
+
+
+def test_candidate_index_refuses_words_it_was_not_built_for():
+    # Positions of keys outside the start words were never kept, so asking
+    # for them is an error, not an empty answer.
+    keys = ("the", "x", "7")
+    index = CandidateIndex(keys, StartWords({"the"}, {"free"}), frozenset({"7"}))
+    with pytest.raises(ValueError):
+        index.among({"the", "x"})
+    with pytest.raises(ValueError):
+        index.among({"the", "7"})  # a number key, but not ``numbers`` itself
+    assert list(index.among({"the", "free"})) == [0]
+    assert not StartWords({"the"}).covers({"x"})
+
+
+def test_stages_refuse_an_index_built_for_another_stage():
+    doc = build_document("t", "Not very good news on January 20, 1961, at noon.")
+    power_only = CandidateIndex(doc.keys, StartWords({"good"}))
+    with pytest.raises(ValueError):
+        analyze_sentiment(doc, _SENTIMENT_LEXICON, index=power_only)
+    with pytest.raises(ValueError):
+        tag_entities(doc, _TEST_GAZETTEER, index=power_only)
+    # The tagger's start words, but not the document's number keys.
+    no_numbers = CandidateIndex(doc.keys, StartWords(_TEST_GAZETTEER.start_words))
+    with pytest.raises(ValueError):
+        tag_entities(doc, _TEST_GAZETTEER, index=no_numbers)
+    numbers = frozenset(key for key in doc.keys if key is not None and is_number_key(key))
+    both = CandidateIndex(
+        doc.keys, StartWords(_SENTIMENT_LEXICON.entries, _TEST_GAZETTEER.start_words), numbers
+    )
+    assert analyze_sentiment(doc, _SENTIMENT_LEXICON, index=both) == analyze_sentiment(
+        doc, _SENTIMENT_LEXICON
+    )
+    assert tag_entities(doc, _TEST_GAZETTEER, index=both) == tag_entities(doc, _TEST_GAZETTEER)
+
+
+def test_no_date_start_word_is_a_number_key():
+    # The tagger merges the number positions with the date start words'
+    # positions as two disjoint sorted lists.
+    assert not any(map(is_number_key, _DATE_START_WORDS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    phrases=_phrase_sets,
+    keys=_key_streams,
+    masked=st.sets(st.integers(0, 59), max_size=20),
+    extra=st.sets(st.sampled_from((*_PHRASE_WORDS, "x"))),
+)
+@example(phrases={"the long": 1}, keys=["the", "long", "the", "long"], masked={0}, extra=set())
+@example(phrases={"a": 1, "a the": 2}, keys=["a", "the", "a"], masked={1}, extra={"x"})
+def test_find_with_a_candidate_index_equals_find_without(phrases, keys, masked, extra):
+    # The index is built over the keys before any claim, against more
+    # start words than the matcher's (as the union of every stage's is).
+    # Keys masked after it was built (an earlier pass's claims) and while
+    # ``find`` runs (its own claims) must both be seen.
+    matcher = PhraseMatcher(phrases)
+    index = CandidateIndex(keys, StartWords(matcher.first_words, extra))
+    live = [None if i in masked else key for i, key in enumerate(keys)]
+    expected = list(reference_find(matcher._root, live))
+    assert list(matcher.find(live, index=index)) == expected
+    with_index = _find_and_mask(lambda k: matcher.find(k, index=index), list(live))
+    assert with_index == _find_and_mask(matcher.find, list(live))
+    assert with_index == _find_and_mask(lambda k: reference_find(matcher._root, k), list(live))
+
+
+# Every section but power, so that the index's start words hold the
+# entries, the gazetteer's and the tagger's words.
+_INDEXED_CONFIG = AnalysisConfig(sections=frozenset({"sentiment", "entities"}))
+_INDEXED_RESOURCES = Resources(
+    word_table=WordTable(_FAMILIAR),
+    sentiment_lexicon=_SENTIMENT_LEXICON,
+    gazetteer=_TEST_GAZETTEER,
+)
+# Runs of non-word tokens between a modifier or negator and the entry it
+# governs: the window counts word tokens only.
+_sentiment_texts_with_punctuation = st.lists(
+    st.sampled_from(_SENTIMENT_PIECES + [", ,", "! ? ;", ". . . . . . ."]), max_size=60
+).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_sentiment_texts_with_punctuation)
+@example(text="not , , ; very ! ? good")
+@example(text="never . . . . . . . . . slightly , bad")
+@example(text="good very . . . . . . . . . . . . . . . . . good")
+def test_analyze_sentiment_through_the_candidate_index_equals_reference(text):
+    report = analyze(build_document("t", text), _INDEXED_CONFIG, resources=_INDEXED_RESOURCES)
+    assert report.sentiment == reference_analyze_sentiment(
+        build_document("t", text), _SENTIMENT_LEXICON
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_entity_texts)
+@example(text="the long night the united states twenty-five years ago May 20, 1961")
+def test_tag_entities_through_the_candidate_index_equals_reference(text):
+    report = analyze(build_document("t", text), _INDEXED_CONFIG, resources=_INDEXED_RESOURCES)
+    assert list(report.entities) == reference_tag_entities(
+        build_document("t", text), _TEST_GAZETTEER
     )

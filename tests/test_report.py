@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from powertext.corpus import aggregate, load_corpus, load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
-from powertext.entities import EntityLabel, EntitySpan, load_gazetteer
+from powertext import textcore
+from powertext.entities import EntityLabel, EntitySpan, load_gazetteer, tag_entities
 from powertext.powerwords import (
     CategoryDistribution,
     PowerCategory,
@@ -21,6 +23,7 @@ from powertext.powerwords import (
     PowerWordHits,
     build_matcher,
     load_lexicon,
+    scan,
 )
 from powertext.readability import ReadabilityReport
 from powertext.report import (
@@ -35,8 +38,8 @@ from powertext.report import (
     render_markdown,
     render_structured,
 )
-from powertext.sentiment import SentimentScore, load_sentiment_lexicon
-from powertext.textcore import TextStats, WordTable, build_document
+from powertext.sentiment import SentimentScore, analyze_sentiment, load_sentiment_lexicon
+from powertext.textcore import TextStats, WordTable, build_document, compute_stats
 
 # ---------------------------------------------------------------------------
 # In-memory data files for composition tests
@@ -585,6 +588,122 @@ def test_shared_resources_give_sequential_bytes_under_threads():
     for thread in threads:
         assert not thread.is_alive()
     assert results == [[expected] * 3 for expected in sequential]
+
+
+def test_four_threads_sharing_resources_and_documents_give_the_serial_reports():
+    # Four threads analyse the same nine documents with one cold
+    # Resources, each in its own order: the word table's entries and each
+    # document's keys are filled while the other threads read them.
+    config = AnalysisConfig()
+    texts = [
+        (item.document.doc_id, item.document.raw, item.warnings)
+        for item in load_corpus(load_manifest(data_path(CORPUS_MANIFEST_FILE)))
+    ]
+
+    def render(doc, warnings, resources):
+        return render_structured(
+            analyze(doc, config, resources=resources, extra_warnings=warnings)
+        )
+
+    serial = [render(build_document(i, raw), w, load_resources(config)) for i, raw, w in texts]
+    shared = load_resources(config)
+    documents = [build_document(doc_id, raw) for doc_id, raw, _w in texts]
+    results: list[dict[int, bytes]] = [{} for _ in range(4)]
+
+    def work(thread: int) -> None:
+        for k in range(len(texts)):
+            i = (k + 2 * thread) % len(texts)
+            results[thread][i] = render(documents[i], texts[i][2], shared)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    for thread in threads:
+        assert not thread.is_alive()
+    for result in results:
+        assert [result[i] for i in range(len(texts))] == serial
+
+
+# ---------------------------------------------------------------------------
+# Stage calls on a bare document, and the run's type table
+# ---------------------------------------------------------------------------
+
+
+def test_stage_calls_on_a_bare_document_equal_the_sections_of_analyze():
+    # A bare document computes its own keys and each stage its own scan;
+    # ``analyze`` fills the keys from the word table and shares one
+    # candidate index.  Both give the same results on the shipped texts.
+    config = AnalysisConfig()
+    resources = load_resources(config)
+    table = resources.word_table
+    for item in load_corpus(load_manifest(data_path(CORPUS_MANIFEST_FILE))):
+        doc_id, raw = item.document.doc_id, item.document.raw
+        report = analyze(build_document(doc_id, raw), config, resources=resources)
+        bare = build_document(doc_id, raw)
+        own_table = WordTable(table.familiar_words, table.exceptions)
+        assert compute_stats(bare, own_table.types(bare)) == report.stats
+        assert scan(bare, resources.matcher) == report.power
+        assert analyze_sentiment(bare, resources.sentiment_lexicon) == report.sentiment
+        assert tuple(tag_entities(bare, resources.gazetteer)) == report.entities
+        assert bare.keys == report.document.keys
+
+
+def test_each_word_text_is_normalized_by_the_first_document_that_has_it(monkeypatch):
+    config = AnalysisConfig()
+    resources = load_resources(config)
+    calls: Counter[str] = Counter()
+    normalize = textcore.normalize
+
+    def counted(text: str) -> str:
+        calls[text] += 1
+        return normalize(text)
+
+    monkeypatch.setattr(textcore, "normalize", counted)
+    first = build_document("a", "Freedom rings. Let freedom ring from every hill.")
+    second = build_document("b", "Let freedom ring, and every hill rings with freedom today.")
+    analyze(first, config, resources=resources)
+    assert set(calls) == set(first.tokens.texts) - {"."}
+    after_first = Counter(calls)
+    analyze(second, config, resources=resources)
+    # Only the texts the first document lacks are normalized again.
+    assert set(calls - after_first) == {"and", "with", "today"}
+    after_second = Counter(calls)
+    analyze(build_document("c", second.raw), config, resources=resources)
+    assert calls == after_second
+    # The table belongs to its resources: new resources normalize anew.
+    fresh = load_resources(config)
+    loaded = Counter(calls)
+    analyze(build_document("d", first.raw), config, resources=fresh)
+    assert set(calls - loaded) == set(after_first)
+
+
+def test_word_table_follows_a_rebound_normalize(monkeypatch):
+    # Entries remembered before ``textcore.normalize`` was rebound came
+    # from the old function: the table forgets them, so ``analyze`` reads
+    # the keys a bare document computes with the function bound now.
+    config = AnalysisConfig()
+    resources = load_resources(config)
+    text = "Freedom rings. Let freedom ring from every hill."
+    analyze(build_document("a", text), config, resources=resources)
+    calls: Counter[str] = Counter()
+
+    def shouted(word: str) -> str:
+        calls[word] += 1
+        return word.upper()
+
+    monkeypatch.setattr(textcore, "normalize", shouted)
+    doc = build_document("b", text)
+    analyze(doc, config, resources=resources)
+    assert set(calls) >= set(doc.tokens.texts) - {"."}
+    assert doc.keys == build_document("b", text).keys
+    assert "FREEDOM" in doc.keys
 
 
 # ---------------------------------------------------------------------------
