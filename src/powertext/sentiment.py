@@ -5,10 +5,11 @@ the document's ``CandidateIndex``.  Every such token contributes its
 entry polarity, scaled by the intensity factor of an immediately
 preceding modifier ("very", "slightly", ...) and flipped-and-dampened by
 -0.5 when a negator appears within the three preceding word tokens;
-punctuation between them does not count.  The document score is the
-arithmetic mean of those contributions (so length alone cannot saturate
-it), clamped into range; a document with no lexicon hits scores exactly
-(0, 0).  The lexicon file is read by ``textcore.DataLines``.
+punctuation between them does not count, and they are found by searching
+the document's word flags.  The document score is the arithmetic mean of
+those contributions (so length alone cannot saturate it), clamped into
+range; a document with no lexicon hits scores exactly (0, 0).  The
+lexicon file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -132,19 +133,14 @@ def _clamp(value: float, low: float, high: float) -> float:
     return min(high, max(low, value))
 
 
-def _words_before(keys: Sequence[str | None], i: int) -> list[str]:
+def _words_before(keys: Sequence[str | None], is_word: bytearray, i: int) -> list[str]:
     """The keys of the last ``NEGATION_WINDOW`` word tokens before token
-    ``i`` (fewer at the start), nearest last; non-word tokens, whose key
-    is ``None``, are skipped.  The window read doubles until it holds
-    enough words, so a long run of punctuation costs a few slices."""
-    step = NEGATION_WINDOW
-    low = max(0, i - step)
-    words = list(filter(None, keys[low:i]))
-    while len(words) < NEGATION_WINDOW and low > 0:
-        step *= 2
-        high, low = low, max(0, low - step)
-        words[:0] = filter(None, keys[low:high])
-    return words[-NEGATION_WINDOW:]
+    ``i`` (fewer at the start), nearest last.  Each is found by a C-level
+    search of the word flags, which skips the punctuation before it."""
+    words: list[str] = []
+    while len(words) < NEGATION_WINDOW and (i := is_word.rfind(1, 0, i)) >= 0:
+        words.insert(0, keys[i])
+    return words
 
 
 def analyze_sentiment(
@@ -161,7 +157,7 @@ def analyze_sentiment(
     ``ValueError``); without one, the entries are found by a scan of the
     document's keys.
     """
-    keys = doc.keys
+    keys, is_word = doc.keys, doc.tokens.is_word
     entries, modifiers, negators = lex.entries, lex.modifiers, lex.negators
     if index is None:
         index = CandidateIndex(keys, StartWords(entries))
@@ -175,7 +171,7 @@ def analyze_sentiment(
             continue
         entry = entries[key]
         polarity = entry.polarity
-        before = _words_before(keys, i)
+        before = _words_before(keys, is_word, i)
         if before and before[-1] in modifiers:
             polarity *= modifiers[before[-1]]
         if not negators.isdisjoint(before):

@@ -23,10 +23,12 @@ iterated; the pipeline reads the columns.  A token's end offset is its
 start plus the length of its text, so it is computed where it is needed,
 never stored.  Equal token texts of one document are one string object,
 so the text column costs a pointer per token and one string per distinct
-text.  ``tokenize`` fills the columns from regex scans: the engine finds
-every token of ASCII text, and only a whitespace-free chunk that holds a
-non-ASCII character is read character by character.  ``split_sentences``
-visits only the runs of sentence terminators.
+text.  ``tokenize`` fills the columns from one regex scan, whose pattern
+is the whole token grammar: a text that is not ASCII is scanned through
+a translation that gives each non-ASCII character a one-character
+stand-in for its class (letter or digit, combining mark, ``’``,
+whitespace, other).  ``split_sentences`` visits only the runs of
+sentence terminators.
 
 Text work is done once and shared.  A ``WordTable`` is a run's type
 table: for each distinct word text it normalizes the text once and keeps
@@ -66,7 +68,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -91,8 +93,6 @@ __all__ = [
     "load_syllable_exceptions",
 ]
 
-# Apostrophe variants that may appear inside a word ("don't", "don’t").
-_APOSTROPHES = "'’"
 _HYPHEN = "-"
 
 # A byte-order mark that an editor left at the start of a file.
@@ -449,25 +449,47 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalpha() or ch.isdigit()
-
-
 def _is_mark(ch: str) -> bool:
     """A combining mark (category M*): part of the word it follows, so
     NFC and NFD forms of a text tokenize alike."""
     return unicodedata.category(ch)[0] == "M"
 
 
-# The tokens of ASCII text, one per match: in ASCII, letters and digits
-# are exactly ``[A-Za-z0-9]``, so group 1 is a word and a match without a
-# group a run of punctuation.  ``\s`` is exactly ``str.isspace``.
-_ASCII_TOKEN = re.compile(r"([A-Za-z0-9]+(?:['-][A-Za-z0-9]+)*)|[^\sA-Za-z0-9]+")
-# A whole whitespace-free chunk that holds a non-ASCII character, matched
-# from the chunk's start only (a scan that starts past a leading
-# byte-order mark starts a chunk too), so each chunk is scanned twice at
-# most.
-_NON_ASCII_CHUNK = re.compile(r"(?:(?<!\S)|(?<=\A\ufeff))\S*[^\s\x00-\x7f]\S*")
+# The token grammar, one token per match, over ASCII and the stand-ins of
+# ``_Classes``: group 1 is a word, a match without a group a run of
+# punctuation.  ``\s`` is exactly ``str.isspace``.
+_TOKEN = re.compile(
+    r"([A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*(?:['\x82-][A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*)*)"
+    r"|[^\sA-Za-z0-9\x81]+"
+)
+
+
+class _Classes(dict):
+    """A ``str.translate`` table that keeps ASCII and gives every other
+    character the one-character Latin-1 stand-in of its class: U+0081 a
+    letter or digit, U+0080 a combining mark, U+0082 the apostrophe ``’``,
+    a space whitespace, and U+0083 anything else (U+0080 to U+0083
+    themselves included).  Filled one code point at a time; ``tokenize``
+    makes one per call, so no table outlives the text it read."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if code < 0x80:
+            stand_in = ch
+        elif ch.isalpha() or ch.isdigit():
+            stand_in = "\x81"
+        elif ch.isspace():
+            stand_in = " "
+        elif ch == "’":
+            stand_in = "\x82"
+        else:
+            stand_in = "\x80" if _is_mark(ch) else "\x83"
+        self[code] = stand_in
+        return stand_in
+
+
 # Matches read per batch: each batch fills the columns in C-level loops.
 # Match objects are tracked by the garbage collector, so a batch stays
 # well below its default first-generation threshold (700 allocations);
@@ -486,9 +508,10 @@ def tokenize(text: str) -> Tokens:
     A leading byte-order mark is skipped.  Joining token texts with the
     whitespace between them reproduces the rest of the input exactly.
 
-    The regex engine finds the tokens of ASCII text; only the chunks
-    that hold a non-ASCII character are read character by character.
-    Equal token texts are one string object.
+    The regex engine finds every token: text that is not ASCII is first
+    translated, character for character, into ASCII and the stand-ins of
+    its characters' classes, and a token text that is not ASCII there is
+    cut from ``text`` again.  Equal token texts are one string object.
     """
     tokens = Tokens()
     # The first string of each distinct text, which every later equal
@@ -496,68 +519,21 @@ def tokenize(text: str) -> Tokens:
     # freed with it; ``sys.intern`` would keep them for the life of the
     # process (its strings are immortal from CPython 3.12).
     seen: dict[str, str] = {}
-    pos = 1 if text.startswith(_BOM) else 0
-    if not text.isascii():
-        for chunk in _NON_ASCII_CHUNK.finditer(text, pos):
-            _tokenize_ascii(text, pos, chunk.start(), tokens, seen)
-            _tokenize_chunk(chunk.group(), chunk.start(), tokens, seen)
-            pos = chunk.end()
-    _tokenize_ascii(text, pos, len(text), tokens, seen)
-    return tokens
-
-
-def _tokenize_ascii(text: str, pos: int, endpos: int, tokens: Tokens, seen: dict[str, str]) -> None:
-    """Append the tokens of ``text[pos:endpos]``, which is ASCII, each
-    text through ``seen``."""
-    matches = _ASCII_TOKEN.finditer(text, pos, endpos)
     share = seen.setdefault
+    subject = text if text.isascii() else text.translate(_Classes())
+    matches = _TOKEN.finditer(subject, 1 if text.startswith(_BOM) else 0)
     while batch := list(islice(matches, _BATCH)):
         texts = list(map(re.Match.group, batch))
+        if subject is not text:
+            # Every stand-in is U+0080 or above: a text that reads as
+            # ASCII is the input's own, and only the others are cut again.
+            for k in compress(count(), map(operator.not_, map(str.isascii, texts))):
+                start, end = batch[k].span()
+                texts[k] = text[start:end]
         tokens.texts += map(share, texts, texts)
         tokens.starts.extend(map(re.Match.start, batch))
         tokens.is_word.extend(map(bool, map(_LASTINDEX, batch)))
-
-
-def _tokenize_chunk(chunk: str, offset: int, tokens: Tokens, seen: dict[str, str]) -> None:
-    """Append the tokens of one whitespace-free chunk, each text through
-    ``seen``.  No token crosses whitespace, so each chunk tokenizes
-    independently of its neighbours."""
-    texts, starts, is_word = tokens.texts, tokens.starts, tokens.is_word
-    share = seen.setdefault
-    n = len(chunk)
-    if chunk.isalpha():
-        texts.append(share(chunk, chunk))
-        starts.append(offset)
-        is_word.append(True)
-        return
-    i = 0
-    while i < n:
-        if _is_word_char(chunk[i]):
-            j = i + 1
-            while j < n:
-                cj = chunk[j]
-                if _is_word_char(cj) or _is_mark(cj):
-                    j += 1
-                elif (
-                    # chunk[j - 1] belongs to the run, so only the right
-                    # flank needs a test.
-                    (cj in _APOSTROPHES or cj == _HYPHEN)
-                    and j + 1 < n
-                    and _is_word_char(chunk[j + 1])
-                ):
-                    j += 1
-                else:
-                    break
-            is_word.append(True)
-        else:
-            j = i + 1
-            while j < n and not _is_word_char(chunk[j]):
-                j += 1
-            is_word.append(False)
-        text = chunk[i:j]
-        texts.append(share(text, text))
-        starts.append(offset + i)
-        i = j
+    return tokens
 
 
 # ---------------------------------------------------------------------------

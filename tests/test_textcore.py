@@ -273,7 +273,8 @@ def test_tokenize_round_trip_random_texts():
     "text",
     [
         "The cat saw the cat. The end, the end!",
-        # "," and "stop" come from both the ASCII and the non-ASCII path.
+        # Scanned through the translated copy: "," and "stop" are read
+        # from the match, the accented words cut again from the input.
         "Stop, naïve, stop, cafe\u0301—stop. Café, cafe\u0301, naïve!",
         "\ufeffHi hi Hi. Hi! hi.",
     ],
@@ -451,6 +452,30 @@ def test_one_long_word_is_analysed_in_linear_time(unit):
     large = best_seconds(100_000)
     assert large < 3 * small + 0.05, f"{small:.3f}s, then {large:.3f}s at twice the size"
     assert large < MAX_LONG_WORD_SECONDS
+
+
+MAX_NFD_COST_RATIO = 2.75
+
+
+def test_non_ascii_text_is_tokenized_at_a_small_multiple_of_ascii_cost():
+    # The shipped texts with every "e" accented, in NFD form: nearly every
+    # word holds a combining mark.  The regex engine still reads them, so
+    # they cost a small multiple of the plain form, not a per-character
+    # loop in Python.
+    corpus = data_path("corpus")
+    plain = "\n\n".join(
+        path.read_text(encoding="utf-8") for path in sorted(corpus.iterdir()) if path.suffix != ".csv"
+    )
+    nfd = unicodedata.normalize("NFD", plain.replace("e", "é"))
+    assert plain.isascii() and not nfd.isascii()
+    times: dict[str, list[float]] = {plain: [], nfd: []}
+    for _ in range(7):
+        for text, samples in times.items():
+            started = time.perf_counter()
+            tokenize(text)
+            samples.append(time.perf_counter() - started)
+    ratio = min(times[nfd]) / min(times[plain])
+    assert ratio <= MAX_NFD_COST_RATIO, f"the NFD form costs {ratio:.2f}x the plain form"
 
 
 # ---------------------------------------------------------------------------
