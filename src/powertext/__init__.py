@@ -33,7 +33,6 @@ from .powerwords import (
     PowerCategory,
     PowerLexicon,
     PowerMatch,
-    PowerMatcher,
     PowerWordHits,
     build_matcher,
     distribution,
@@ -129,7 +128,6 @@ __all__ = [
     "PowerCategory",
     "PowerLexicon",
     "PowerMatch",
-    "PowerMatcher",
     "PowerWordHits",
     "CategoryDistribution",
     "load_lexicon",

@@ -14,40 +14,30 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 __all__ = ["StartWords", "CandidateIndex"]
-
-# Stage collections a ``StartWords`` remembers having tested.
-_COVERED_MAX = 64
 
 
 class StartWords:
     """The keys at which some analysis stage can start a match.
 
-    ``words`` is the union of the stages' start words, against which a
-    ``CandidateIndex`` scans a document's keys.  ``covers(words)`` tells
-    whether a stage's collection of start words lies inside the union.  A
-    stage's start words are fixed once its data is loaded, so each
-    collection is tested once and then known by its identity (up to 64
-    collections are remembered).  Safe to share between threads.
+    ``words`` is the union of its parts, the stages' collections of start
+    words, against which a ``CandidateIndex`` scans a document's keys.
+    ``covers(words)`` tells whether a stage's collection lies inside the
+    union: one of the parts is known by its identity, any other
+    collection is tested.  Immutable, so safe to share between threads.
     """
 
-    __slots__ = ("words", "_covered")
+    __slots__ = ("_parts", "_part_ids", "words")
 
-    def __init__(self, *parts: Iterable[str]) -> None:
+    def __init__(self, *parts: Collection[str]) -> None:
+        self._parts = parts  # holding each part keeps its id its own
+        self._part_ids = frozenset(map(id, parts))
         self.words = frozenset().union(*parts)
-        # Keyed by ``id``; holding each collection keeps its id its own.
-        self._covered: dict[int, Collection[str]] = {}
 
     def covers(self, words: Collection[str]) -> bool:
-        if id(words) in self._covered:
-            return True
-        if not self.words.issuperset(words):
-            return False
-        if len(self._covered) < _COVERED_MAX:
-            self._covered[id(words)] = words
-        return True
+        return id(words) in self._part_ids or self.words.issuperset(words)
 
 
 class CandidateIndex:

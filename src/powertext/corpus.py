@@ -223,7 +223,7 @@ def load_manifest(
     Duplicate ids, unknown genres or kinds, and malformed lines are
     errors naming the line.  So is an id that could not be a report
     file name inside the ``--out`` directory: one that contains ``/``,
-    ``\\`` or ``..``, starts with ``.``, or is ``corpus`` in any case.
+    ``\\``, ``..`` or a NUL, starts with ``.``, or is ``corpus`` in any case.
     """
     lines = DataLines(source)
     if base_dir is not None:
@@ -242,13 +242,13 @@ def load_manifest(
         if not doc_id:
             raise lines.error("empty id")
         if (
-            any(part in doc_id for part in ("/", "\\", ".."))
+            any(part in doc_id for part in ("/", "\\", "..", "\0"))
             or doc_id.startswith(".")
             or doc_id.lower() == SUMMARY_ID
         ):
             raise lines.error(
                 f"id {doc_id!r} cannot name a report file: it may not contain "
-                f"'/', '\\' or '..', start with '.', or be {SUMMARY_ID!r}"
+                f"'/', '\\', '..' or a NUL, start with '.', or be {SUMMARY_ID!r}"
             )
         if genre not in GENRES:
             raise lines.error(f"unknown genre {genre!r} (expected one of {', '.join(GENRES)})")

@@ -4,10 +4,10 @@ The lexicon maps normalized terms (single words or phrases up to six
 words) to one of seven fixed categories.  Matching is case-insensitive,
 aligned to word-token boundaries, leftmost-longest, and non-overlapping,
 so a phrase entry like "risk free" counts once rather than once for the
-phrase and once for "free".  The matching itself is the shared
-``textcore.PhraseMatcher`` over ``Document.keys``, visiting the
-document's ``CandidateIndex`` positions; the lexicon file is read by
-``textcore.DataLines``.
+phrase and once for "free".  ``build_matcher`` compiles the terms into
+the shared ``textcore.PhraseMatcher``, which ``scan`` runs over
+``Document.keys``, visiting the document's ``CandidateIndex`` positions;
+the lexicon file is read by ``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, AbstractSet, Iterator, Mapping, NamedTuple
+from typing import IO, Mapping, NamedTuple
 
 from .errors import DataFileError
 from .candidates import CandidateIndex
@@ -30,7 +30,6 @@ __all__ = [
     "MAX_PHRASE_WORDS",
     "load_lexicon",
     "build_matcher",
-    "PowerMatcher",
     "scan",
     "distribution",
 ]
@@ -146,52 +145,31 @@ def load_lexicon(source: str | Path | IO[str] | IO[bytes]) -> PowerLexicon:
 # ---------------------------------------------------------------------------
 
 
-class PowerMatcher:
-    """The lexicon's normalized terms, compiled once into a
-    ``textcore.PhraseMatcher``.
-
-    Matches must start and end at word-token boundaries; phrase entries
-    match only across consecutive word tokens (any intervening non-word
-    token, such as punctuation, breaks the phrase).  Scanning is
-    leftmost-longest and resumes after each match's end.
-    """
-
-    def __init__(self, lexicon: PowerLexicon):
-        if not lexicon.entries:
-            raise DataFileError("cannot build a matcher from an empty lexicon")
-        self._phrases = PhraseMatcher(
-            {term: (term, category) for term, category in lexicon.entries.items()}
-        )
-
-    @property
-    def first_words(self) -> AbstractSet[str]:
-        """The keys a term can start with."""
-        return self._phrases.first_words
-
-    def find(self, doc: Document, *, index: CandidateIndex | None = None) -> Iterator[PowerMatch]:
-        """Matches over the document's tokens, in order, non-overlapping;
-        ``index`` is as for ``PhraseMatcher.find`` over ``doc.keys``."""
-        starts, end = doc.tokens.starts, doc.tokens.end
-        for start, stop, (term, category) in self._phrases.find(doc.keys, index=index):
-            yield PowerMatch(term=term, category=category, start=starts[start], end=end(stop - 1))
-
-
-def build_matcher(lexicon: PowerLexicon) -> PowerMatcher:
-    """Compile a lexicon into its reusable, thread-safe matcher."""
-    return PowerMatcher(lexicon)
+def build_matcher(lexicon: PowerLexicon) -> PhraseMatcher:
+    """Compile a lexicon into its reusable, thread-safe matcher: a
+    ``textcore.PhraseMatcher`` from each term to ``(term, category)``."""
+    if not lexicon.entries:
+        raise DataFileError("cannot build a matcher from an empty lexicon")
+    return PhraseMatcher({term: (term, category) for term, category in lexicon.entries.items()})
 
 
 def scan(
-    doc: Document, matcher: PowerMatcher, *, index: CandidateIndex | None = None
+    doc: Document, matcher: PhraseMatcher, *, index: CandidateIndex | None = None
 ) -> PowerWordHits:
     """All lexicon hits in ``doc``, with per-category counts.
 
-    A document with no matches yields all-zero counts (never an error).
-    ``index``, the document's ``CandidateIndex`` with the matcher's first
-    words among its start words, saves a scan of every key.
+    A phrase term matches only across consecutive word tokens (any
+    non-word token, such as punctuation, breaks it).  A document with no
+    matches yields all-zero counts (never an error).  ``index``, the
+    document's ``CandidateIndex`` with the matcher's first words among
+    its start words, saves a scan of every key.
     """
+    starts, end = doc.tokens.starts, doc.tokens.end
     counts: dict[PowerCategory, int] = {category: 0 for category in PowerCategory}
-    matches = tuple(matcher.find(doc, index=index))
+    matches = tuple(
+        PowerMatch(term=term, category=category, start=starts[start], end=end(stop - 1))
+        for start, stop, (term, category) in matcher.find(doc.keys, index=index)
+    )
     for match in matches:
         counts[match.category] += 1
     return PowerWordHits(counts=counts, matches=matches)

@@ -41,7 +41,6 @@ from .errors import InputTextError
 from .powerwords import (
     CategoryDistribution,
     PowerCategory,
-    PowerMatcher,
     PowerWordHits,
     build_matcher,
     distribution,
@@ -53,6 +52,7 @@ from .sentiment import SentimentLexicon, SentimentScore, analyze_sentiment, load
 from .candidates import CandidateIndex, StartWords
 from .textcore import (
     Document,
+    PhraseMatcher,
     TextStats,
     WordTable,
     compute_stats,
@@ -136,7 +136,7 @@ class Resources:
     """
 
     word_table: WordTable
-    matcher: PowerMatcher | None = None
+    matcher: PhraseMatcher | None = None
     sentiment_lexicon: SentimentLexicon | None = None
     gazetteer: Gazetteer | None = None
 
@@ -562,8 +562,8 @@ def render_markdown(report: AnalysisReport) -> str:
         lines += [
             "## Sentiment",
             "",
-            f"- Polarity: {report.sentiment.polarity:.2f}",
-            f"- Subjectivity: {report.sentiment.subjectivity:.2f}",
+            f"- Polarity: {_r2(report.sentiment.polarity):.2f}",
+            f"- Subjectivity: {_r2(report.sentiment.subjectivity):.2f}",
             f"- Matched terms: {report.sentiment.matched_terms}",
             "",
         ]
@@ -603,8 +603,8 @@ def render_corpus_markdown(aggregates: Sequence[GenreAggregate]) -> str:
             lines.append("")
         if agg.mean_polarity is not None:
             lines += [
-                f"- Mean polarity: {agg.mean_polarity:.2f}",
-                f"- Mean subjectivity: {agg.mean_subjectivity:.2f}",
+                f"- Mean polarity: {_r2(agg.mean_polarity):.2f}",
+                f"- Mean subjectivity: {_r2(agg.mean_subjectivity):.2f}",
                 "",
             ]
     with_distribution = [a for a in aggregates if a.mean_distribution is not None]

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .candidates import CandidateIndex, StartWords
 from .errors import DataFileError, InputTextError
@@ -119,6 +119,7 @@ _VOWEL_RUN = re.compile("[aeiouy]+")
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """One token of the original text.
 
@@ -127,36 +128,20 @@ class Token:
     kept as non-word tokens so the token stream can reproduce the input).
 
     A value class: tokens compare and hash by their four fields and must
-    not be modified after construction.  A document stores no ``Token``:
-    its ``Tokens`` builds one each time it is indexed or iterated.
+    not be modified after construction (it is not frozen, since frozen
+    construction is slower and a document iterates many tokens).  A
+    document stores no ``Token``: its ``Tokens`` builds one each time it
+    is indexed or iterated.
     """
 
-    __slots__ = ("text", "start", "end", "is_word")
+    text: str
+    start: int
+    end: int
+    is_word: bool
 
-    def __init__(self, text: str, start: int, end: int, is_word: bool) -> None:
-        if end <= start:
-            raise ValueError(f"token span must be non-empty: [{start}, {end})")
-        self.text = text
-        self.start = start
-        self.end = end
-        self.is_word = is_word
-
-    def _key(self) -> tuple[str, int, int, bool]:
-        return (self.text, self.start, self.end, self.is_word)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Token(text={self.text!r}, start={self.start!r}, "
-            f"end={self.end!r}, is_word={self.is_word!r})"
-        )
+    def __post_init__(self) -> None:
+        if self.end <= self.start:
+            raise ValueError(f"token span must be non-empty: [{self.start}, {self.end})")
 
 
 class Tokens(Sequence[Token]):
@@ -270,15 +255,16 @@ class PhraseMatcher:
     word-level keyword trie of Aho & Corasick).  It reads a key sequence
     such as ``Document.keys``, where a ``None`` key is a barrier no phrase
     crosses: a non-word token, or a token an earlier pass has claimed.
-    ``find`` visits only the candidate positions, the keys that start
-    some phrase, which it filters from a document's ``CandidateIndex``,
-    and walks the trie from a candidate only when a phrase can end past
-    its first word or at it.  Phrases are a few words long, so each walk is
+    ``find`` visits only the candidate positions, the keys in
+    ``first_words`` (the keys that start some phrase, one frozenset made
+    once), which it filters from a document's ``CandidateIndex``, and
+    walks the trie from a candidate only when a phrase can end past its
+    first word or at it.  Phrases are a few words long, so each walk is
     short and the scan needs no failure links.  Immutable, so safe to
     share between threads.
     """
 
-    __slots__ = ("_root",)
+    __slots__ = ("_root", "first_words")
 
     def __init__(self, phrases: Mapping[str, object]) -> None:
         # Each node maps a word to its child node; the node that ends a
@@ -290,11 +276,7 @@ class PhraseMatcher:
                 node = node.setdefault(word, {})
             node[None] = value
         self._root = root
-
-    @property
-    def first_words(self) -> AbstractSet[str]:
-        """The keys a phrase can start with."""
-        return self._root.keys()
+        self.first_words = frozenset(root)
 
     def longest_at(self, keys: Sequence[str | None], i: int) -> tuple[int, object] | None:
         """``(stop, value)`` of the longest phrase that is exactly
@@ -331,8 +313,8 @@ class PhraseMatcher:
         last = len(keys) - 1
         stop = 0
         if index is None:
-            index = CandidateIndex(keys, StartWords(root))
-        for i in index.among(root):
+            index = CandidateIndex(keys, StartWords(self.first_words))
+        for i in index.among(self.first_words):
             if i < stop:
                 continue
             node = root.get(keys[i])

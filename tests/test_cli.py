@@ -384,6 +384,18 @@ def test_corpus_id_that_cannot_name_a_report_file_exits_2(data_dir, corpus_dir, 
     assert not (tmp_path / "escaped.json").exists()
 
 
+def test_corpus_id_with_a_nul_byte_exits_2_before_out_is_created(data_dir, tmp_path):
+    (tmp_path / "a.txt").write_text("We gather today. Our cause is proven.\n", encoding="utf-8")
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"a.txt,bad\0id,speech,plain\n")
+    out = tmp_path / "reports"
+    result = run_cli("corpus", manifest, "--out", out, data_dir=data_dir)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert "m.csv:1:" in result.stderr
+    assert not out.exists()
+
+
 def test_corpus_missing_file_exits_2_before_out_is_created(data_dir, corpus_dir, tmp_path):
     manifest = corpus_dir / "partial.csv"
     manifest.write_text(

@@ -815,6 +815,16 @@ def test_candidate_index_refuses_words_it_was_not_built_for():
     assert not StartWords({"the"}).covers({"x"})
 
 
+def test_start_words_know_their_parts_and_keep_no_cache():
+    assert StartWords.__slots__ == ("_parts", "_part_ids", "words")
+    part = {"the", "free"}
+    starts = StartWords(part, frozenset({"7"}))
+    assert starts.covers(part)
+    assert starts.covers({"the", "7"})  # a fresh subset of the union
+    assert not starts.covers({"the", "x"})
+    assert starts.words == frozenset({"the", "free", "7"})
+
+
 def test_stages_refuse_an_index_built_for_another_stage():
     doc = build_document("t", "Not very good news on January 20, 1961, at noon.")
     power_only = CandidateIndex(doc.keys, StartWords({"good"}))

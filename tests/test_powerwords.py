@@ -112,6 +112,16 @@ def test_load_rejects_empty_lexicon_and_empty_terms():
         lexicon_from(",Greed\n")
 
 
+def test_build_matcher_rejects_an_empty_lexicon_and_returns_a_phrase_matcher():
+    with pytest.raises(DataFileError):
+        build_matcher(PowerLexicon(entries={}))
+    matcher = build_matcher(lexicon_from("free,Greed\nrisk free,Safety\n"))
+    assert isinstance(matcher, PhraseMatcher)
+    # One object, so that a ``StartWords`` built from it knows it by identity.
+    assert matcher.first_words is matcher.first_words
+    assert matcher.first_words == frozenset({"free", "risk"})
+
+
 def test_load_rejects_overlong_phrases():
     ok = lexicon_from("one two three four five six,Fear\n")
     assert len(ok) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
@@ -547,6 +548,23 @@ def test_corpus_markdown_contains_plot_table():
     assert "## Distribution by genre (plot data)" in text
     assert "| Genre | Category | Percentage |" in text
     assert "| speech | Greed | 70.00 |" in text
+
+
+def test_markdown_rounds_a_tiny_negative_polarity_to_zero_as_structured_does():
+    # Its entry scores average to -1.1e-16, not to 0.0.
+    doc = build_document("tiny", "It was extremely abhor. It was so flawless. Then it ended.")
+    report = analyze(doc, AnalysisConfig(sections=frozenset({"sentiment"})))
+    assert -1e-15 < report.sentiment.polarity < 0
+    assert json.loads(render_structured(report))["sentiment"]["polarity"] == 0.0
+    text = render_markdown(report)
+    assert "- Polarity: 0.00" in text
+    assert "-0.00" not in text
+    (agg,) = aggregate([(make_agg_report(0.2, 70.0), "speech")])
+    tiny = dataclasses.replace(agg, mean_polarity=-1e-16, mean_subjectivity=-1e-16)
+    corpus_text = render_corpus_markdown([tiny])
+    assert "- Mean polarity: 0.00" in corpus_text
+    assert "- Mean subjectivity: 0.00" in corpus_text
+    assert "-0.00" not in corpus_text
 
 
 # ---------------------------------------------------------------------------
