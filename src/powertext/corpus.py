@@ -220,10 +220,11 @@ def load_manifest(
 
     Relative paths resolve against ``base_dir`` when given, else the
     manifest's own directory, or the working directory for a stream.
-    Duplicate ids, unknown genres or kinds, and malformed lines are
-    errors naming the line.  So is an id that could not be a report
-    file name inside the ``--out`` directory: one that contains ``/``,
-    ``\\``, ``..`` or a NUL, starts with ``.``, or is ``corpus`` in any case.
+    Duplicate ids, unknown genres or kinds, a path with a NUL, and
+    malformed lines are errors naming the line.  So is an id that could
+    not be a report file name inside the ``--out`` directory: one that
+    contains ``/``, ``\\``, ``..`` or a NUL, starts with ``.``, or is
+    ``corpus`` in any case.
     """
     lines = DataLines(source)
     if base_dir is not None:
@@ -239,6 +240,8 @@ def load_manifest(
         raw_path, doc_id, genre, kind = lines.fields(line, ",", 4, "path,id,genre,kind")
         if not raw_path:
             raise lines.error("empty path")
+        if "\0" in raw_path:
+            raise lines.error(f"path {raw_path!r} contains a NUL")
         if not doc_id:
             raise lines.error("empty id")
         if (

@@ -11,7 +11,8 @@ class DataFileError(PowertextError):
     """A lexicon, word list, gazetteer, or manifest failed to load.
 
     Carries the offending source name and, when known, the 1-based line
-    number so callers can point at the broken line.
+    number so callers can point at the broken line.  The message shows a
+    source name that is not printable as its ``repr``.
     """
 
     def __init__(self, message: str, *, source: str | None = None, line: int | None = None):
@@ -19,7 +20,7 @@ class DataFileError(PowertextError):
         self.line = line
         prefix = ""
         if source is not None:
-            prefix = source
+            prefix = source if source.isprintable() else repr(source)
             if line is not None:
                 prefix += f":{line}"
             prefix += ": "

@@ -10,9 +10,9 @@ renderers show exactly those sections.
 The caller chooses the output format by calling a renderer:
 ``render_structured`` emits deterministic JSON (stable key order,
 two-decimal rounding, UTF-8, byte-identical for identical inputs) with
-the bytes of ``json.dumps(..., ensure_ascii=False, indent=2)``, but
-encodes each container of scalars, and each list of match or entity
-rows, in one call of the C encoder and re-indents its separators;
+the bytes of ``json.dumps(..., ensure_ascii=False, indent=2)``, written
+straight from the report's fields: each match or entity row fills one
+template, and each distinct string is encoded once;
 ``render_markdown`` emits the human-readable view — a two-column metric
 table, a category distribution table, sentiment lines, and the annotated
 text.
@@ -20,12 +20,12 @@ text.
 
 from __future__ import annotations
 
-import json
+import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from json.encoder import encode_basestring as _string
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import GenreAggregate
 from .defaults import (
@@ -298,196 +298,188 @@ def _r2(value: float) -> float:
     return 0.0 if rounded == 0.0 else rounded
 
 
-def _readability_payload(report: ReadabilityReport | None) -> dict | None:
-    if report is None:
-        return None
-    payload: dict = {}
-    for attr, key, _label, _grade in READABILITY_INDICES:
-        payload[key] = _r2(getattr(report, attr))
-        if attr == "flesch_reading_ease":
-            payload["reading_ease_label"] = report.ease_label
-    payload["text_standard"] = report.text_standard
-    return payload
+# ``json`` writes the non-finite floats as JavaScript spells them.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _power_payload(
-    hits: PowerWordHits | None, dist: CategoryDistribution | None
-) -> dict | None:
-    if hits is None or dist is None:
-        return None
-    return {
-        "counts": {cat.value: hits.counts[cat] for cat in PowerCategory},
-        "total": hits.total,
-        "distribution": {
-            cat.value: _r2(dist.percentages[cat]) for cat in PowerCategory
-        },
-        "matches": [
-            {
-                "term": match.term,
-                "category": match.category.value,
-                "start": match.start,
-                "end": match.end,
-            }
-            for match in hits.matches
-        ],
-    }
+def _number(value: float) -> str:
+    """``_r2(value)`` as ``json`` encodes a float."""
+    text = repr(_r2(value))
+    return _NON_FINITE.get(text, text)
 
 
-def _sentiment_payload(score: SentimentScore | None) -> dict | None:
-    if score is None:
-        return None
-    return {
-        "polarity": _r2(score.polarity),
-        "subjectivity": _r2(score.subjectivity),
-        "matched_terms": score.matched_terms,
-    }
+def _block(members: Sequence[str], depth: int, brackets: str) -> str:
+    """Encoded members inside ``brackets``, laid out as ``indent=2`` lays
+    out a container opened at indent level ``depth``."""
+    if not members:
+        return brackets
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return brackets[0] + inner + ("," + inner).join(members) + outer + brackets[1]
 
 
-def _entities_payload(spans: Sequence[EntitySpan] | None) -> list | None:
-    if spans is None:
-        return None
+def _array(members: Sequence[str], depth: int) -> str:
+    return _block(members, depth, "[]")
+
+
+def _object(pairs: Iterable[tuple[str, str]], depth: int) -> str:
+    """A JSON object of ``(key, encoded value)`` pairs; every key is a
+    fixed ASCII name."""
+    return _block([f'"{key}": {value}' for key, value in pairs], depth, "{}")
+
+
+class _Strings(dict):
+    """The JSON string of each text, or enum member's value, looked up:
+    each is encoded once, on first use."""
+
+    def __missing__(self, key: str | enum.Enum) -> str:
+        self[key] = text = _string(getattr(key, "value", key))
+        return text
+
+
+# A match row at depth 3 and an entity row at depth 2, filled from the
+# fields of a PowerMatch and an EntitySpan.
+_MATCH_ROW = (
+    '{\n        "term": %s,\n        "category": %s,\n'
+    '        "start": %d,\n        "end": %d\n      }'
+)
+_ENTITY_ROW = (
+    '{\n      "surface": %s,\n      "label": %s,\n'
+    '      "start": %d,\n      "end": %d\n    }'
+)
+
+
+def _indices(source, prefix: str = "") -> list[tuple[str, str]]:
+    """The seven readability scores of a report, or of an aggregate's
+    ``mean_`` fields."""
     return [
-        {
-            "surface": span.surface,
-            "label": span.label.value,
-            "start": span.start,
-            "end": span.end,
-        }
-        for span in spans
+        (key, _number(getattr(source, prefix + attr)))
+        for attr, key, _label, _grade in READABILITY_INDICES
     ]
 
 
-def _report_payload(report: AnalysisReport) -> dict:
-    payload: dict = {
-        "id": report.doc_id,
-        "stats": {key: getattr(report.stats, attr) for attr, key, _label in _STATS_FIELDS},
-    }
+def _shares(percentages: Mapping[PowerCategory, float], depth: int) -> str:
+    return _object([(cat.value, _number(percentages[cat])) for cat in PowerCategory], depth)
+
+
+def _readability_json(report: ReadabilityReport | None) -> str:
+    if report is None:
+        return "null"
+    pairs = _indices(report)
+    pairs.insert(1, ("reading_ease_label", _string(report.ease_label)))  # after reading_ease
+    pairs.append(("text_standard", _string(report.text_standard)))
+    return _object(pairs, 1)
+
+
+def _power_json(hits: PowerWordHits | None, dist: CategoryDistribution | None) -> str:
+    if hits is None or dist is None:
+        return "null"
+    strings = _Strings()
+    rows = [
+        _MATCH_ROW % (strings[term], strings[category], start, end)
+        for term, category, start, end in hits.matches
+    ]
+    counts = [(cat.value, "%d" % hits.counts[cat]) for cat in PowerCategory]
+    pairs = [
+        ("counts", _object(counts, 2)),
+        ("total", "%d" % hits.total),
+        ("distribution", _shares(dist.percentages, 2)),
+        ("matches", _array(rows, 2)),
+    ]
+    return _object(pairs, 1)
+
+
+def _sentiment_json(score: SentimentScore | None) -> str:
+    if score is None:
+        return "null"
+    pairs = [
+        ("polarity", _number(score.polarity)),
+        ("subjectivity", _number(score.subjectivity)),
+        ("matched_terms", "%d" % score.matched_terms),
+    ]
+    return _object(pairs, 1)
+
+
+def _entities_json(spans: Sequence[EntitySpan] | None) -> str:
+    if spans is None:
+        return "null"
+    strings = _Strings()
+    rows = [
+        _ENTITY_ROW % (strings[surface], strings[label], start, end)
+        for start, end, surface, label in spans
+    ]
+    return _array(rows, 1)
+
+
+def _report_json(report: AnalysisReport) -> str:
+    stats = [(key, "%d" % getattr(report.stats, attr)) for attr, key, _label in _STATS_FIELDS]
+    pairs = [("id", _string(report.doc_id)), ("stats", _object(stats, 1))]
     # Sections the run disabled are omitted entirely; sections that were
     # enabled but produced nothing (degenerate input) render as null.
     if "readability" in report.sections:
-        payload["readability"] = _readability_payload(report.readability)
+        pairs.append(("readability", _readability_json(report.readability)))
     if "power" in report.sections:
-        payload["power"] = _power_payload(report.power, report.power_distribution)
+        pairs.append(("power", _power_json(report.power, report.power_distribution)))
     if "sentiment" in report.sections:
-        payload["sentiment"] = _sentiment_payload(report.sentiment)
+        pairs.append(("sentiment", _sentiment_json(report.sentiment)))
     if "entities" in report.sections:
-        payload["entities"] = _entities_payload(report.entities)
-    payload["warnings"] = list(report.warnings)
-    return payload
+        pairs.append(("entities", _entities_json(report.entities)))
+    pairs.append(("warnings", _array([_string(warning) for warning in report.warnings], 1)))
+    return _object(pairs, 0)
 
 
-def _aggregate_payload(agg: GenreAggregate) -> dict:
-    payload: dict = {"genre": agg.genre, "documents": agg.document_count}
-    payload["readability"] = (
-        {
-            key: _r2(getattr(agg, f"mean_{attr}"))
-            for attr, key, _label, _grade in READABILITY_INDICES
-        }
-        if agg.mean_flesch_reading_ease is not None
-        else None
-    )
-    payload["distribution"] = (
-        {cat.value: _r2(agg.mean_distribution[cat]) for cat in PowerCategory}
-        if agg.mean_distribution is not None
-        else None
-    )
-    payload["sentiment"] = (
-        {
-            "polarity": _r2(agg.mean_polarity),
-            "subjectivity": _r2(agg.mean_subjectivity),
-        }
-        if agg.mean_polarity is not None
-        else None
-    )
-    return payload
+def _aggregate_json(agg: GenreAggregate) -> str:
+    readability = distribution = sentiment = "null"
+    if agg.mean_flesch_reading_ease is not None:
+        readability = _object(_indices(agg, "mean_"), 3)
+    if agg.mean_distribution is not None:
+        distribution = _shares(agg.mean_distribution, 3)
+    if agg.mean_polarity is not None:
+        means = (("polarity", agg.mean_polarity), ("subjectivity", agg.mean_subjectivity))
+        sentiment = _object([(key, _number(mean)) for key, mean in means], 3)
+    pairs = [
+        ("genre", _string(agg.genre)),
+        ("documents", "%d" % agg.document_count),
+        ("readability", readability),
+        ("distribution", distribution),
+        ("sentiment", sentiment),
+    ]
+    return _object(pairs, 2)
 
 
-# Encodes a container of scalars in one C-level call, with a raw newline
-# after each member's comma.  The encoder escapes every control character
-# inside a string, even with ``ensure_ascii=False``, so each raw "\n" in
-# its output is one of those separators and can be re-indented by
-# ``str.replace``.
-_ENCODE_FLAT = json.JSONEncoder(ensure_ascii=False, separators=(",\n", ": ")).encode
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+def _plot_row(agg: GenreAggregate, category: PowerCategory) -> str:
+    pairs = [
+        ("genre", _string(agg.genre)),
+        ("category", _string(category.value)),
+        ("percentage", _number(agg.mean_distribution[category])),
+    ]
+    return _object(pairs, 2)
 
 
-def _is_flat(members) -> bool:
-    """Whether every member is a scalar; a member of a scalar subclass
-    takes the general path, which encodes it alike."""
-    return set(map(type, members)) <= _SCALARS
-
-
-def _dumps(value, depth: int = 0) -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)`` for a value whose
-    dicts have string keys, starting at indent level ``depth``.
-
-    The pure-Python encoder that ``indent`` selects visits one value per
-    generator step; here each container of scalars, and each list of
-    dicts of scalars (the match and entity rows), is one encoder call
-    whose separators are then re-indented.
-    """
-    if not isinstance(value, _CONTAINERS):
-        return _ENCODE_FLAT(value)
-    is_dict = isinstance(value, dict)
-    if not value:
-        return "{}" if is_dict else "[]"
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    if _is_flat(value.values() if is_dict else value):
-        text = _ENCODE_FLAT(value)
-        return text[0] + inner + text[1:-1].replace("\n", inner) + outer + text[-1]
-    if (
-        not is_dict
-        and all(map(isinstance, value, repeat(dict)))
-        and all(value)
-        and _is_flat(chain.from_iterable(map(dict.values, value)))
-    ):
-        # "[{a,\nb},\n{c}]": indent every member, then open and close the
-        # rows where one dict ends and the next begins ("},\n{" occurs
-        # nowhere else: a member before a separator is a scalar).
-        member = inner + "  "
-        rows = _ENCODE_FLAT(value)[2:-2].replace("\n", member)
-        rows = rows.replace("}," + member + "{", inner + "}," + inner + "{" + member)
-        return "[" + inner + "{" + member + rows + inner + "}" + outer + "]"
-    if is_dict:
-        parts = [_ENCODE_FLAT(key) + ": " + _dumps(item, depth + 1) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    parts = [_dumps(item, depth + 1) for item in value]
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
-
-
-def render_structured(
-    payload: AnalysisReport | Sequence[GenreAggregate],
-) -> bytes:
+def render_structured(payload: AnalysisReport | Sequence[GenreAggregate]) -> bytes:
     """Deterministic JSON bytes for one report or a list of genre
     aggregates.
 
     Keys appear in a fixed order, scores and percentages are rounded to
     two decimals, output is UTF-8 with a trailing newline, and identical
-    inputs produce byte-identical output.  Corpus output additionally
-    carries flat ``plot_rows`` (genre, category, percentage) ready for
-    any plotting tool.
+    inputs produce byte-identical output: the bytes of ``json.dumps(...,
+    ensure_ascii=False, indent=2)``, joined straight from the fields.
+    Corpus output additionally carries flat ``plot_rows`` (genre,
+    category, percentage) ready for any plotting tool.
     """
     if isinstance(payload, AnalysisReport):
-        body = _report_payload(payload)
+        body = _report_json(payload)
     else:
         aggregates = list(payload)
         plot_rows = [
-            {
-                "genre": agg.genre,
-                "category": cat.value,
-                "percentage": _r2(agg.mean_distribution[cat]),
-            }
+            _plot_row(agg, cat)
             for agg in aggregates
             if agg.mean_distribution is not None
             for cat in PowerCategory
         ]
-        body = {
-            "genres": [_aggregate_payload(agg) for agg in aggregates],
-            "plot_rows": plot_rows,
-        }
-    return (_dumps(body) + "\n").encode("utf-8")
+        genres = _array([_aggregate_json(agg) for agg in aggregates], 1)
+        body = _object([("genres", genres), ("plot_rows", _array(plot_rows, 1))], 0)
+    return (body + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

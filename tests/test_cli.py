@@ -396,6 +396,16 @@ def test_corpus_id_with_a_nul_byte_exits_2_before_out_is_created(data_dir, tmp_p
     assert not out.exists()
 
 
+def test_corpus_path_with_a_nul_byte_exits_2_naming_the_manifest_line(data_dir, tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"a\0.txt,ok,speech,plain\n")
+    result = run_cli("corpus", manifest, data_dir=data_dir)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert "m.csv:1:" in result.stderr
+    assert "\0" not in result.stderr
+
+
 def test_corpus_missing_file_exits_2_before_out_is_created(data_dir, corpus_dir, tmp_path):
     manifest = corpus_dir / "partial.csv"
     manifest.write_text(

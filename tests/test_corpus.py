@@ -405,6 +405,24 @@ def test_iter_corpus_checks_every_file_before_reading_any(tmp_path):
     assert err.value.source == str(tmp_path / "ghost.txt")
 
 
+def test_data_file_errors_show_an_unprintable_path_as_its_repr(tmp_path):
+    ghost = tmp_path / "gh\x1bost\t.txt"
+    entries = (ManifestEntry(path=ghost, doc_id="ghost", genre="speech", kind="plain"),)
+    with pytest.raises(DataFileError, match="ghost") as err:
+        iter_corpus(CorpusManifest(entries=entries))
+    assert err.value.source == str(ghost)
+    assert str(err.value).startswith(repr(str(ghost)) + ": ")
+    assert str(err.value).isprintable()
+
+
+def test_manifest_rejects_a_path_with_a_nul(tmp_path):
+    stream = io.StringIO("a.txt,a,fiction,plain\nb\0.txt,b,speech,plain\n")
+    with pytest.raises(DataFileError, match="contains a NUL") as err:
+        load_manifest(stream, base_dir=tmp_path)
+    assert err.value.line == 2
+    assert "\0" not in str(err.value)
+
+
 def test_iter_corpus_reads_one_file_per_document(tmp_path):
     (tmp_path / "a.txt").write_text("First text. It is short.\n", encoding="utf-8")
     (tmp_path / "b.txt").write_text("*** START OF X ***\nno end\n", encoding="utf-8")

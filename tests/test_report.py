@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powertext.corpus import aggregate, load_corpus, load_manifest
+from powertext.corpus import GenreAggregate, aggregate, load_corpus, load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
 from powertext import textcore
 from powertext.entities import EntityLabel, EntitySpan, load_gazetteer, tag_entities
@@ -32,7 +32,6 @@ from powertext.report import (
     AnalysisConfig,
     AnalysisReport,
     Resources,
-    _dumps,
     analyze,
     load_resources,
     render_corpus_markdown,
@@ -725,36 +724,231 @@ def test_word_table_follows_a_rebound_normalize(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The structured encoder
+# The structured renderer against json.dumps
 # ---------------------------------------------------------------------------
+# ``render_structured`` writes its JSON straight from the report's fields;
+# these oracles build the payload those bytes stand for and encode it with
+# ``json.dumps``.
 
-# Strings that look like the separators and row joins the encoder's output
-# is re-indented at, next to escapes and non-ASCII text.
-_json_strings = st.one_of(
-    st.text(max_size=6),
-    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "},\n{", "},", "{", "}", ",\n", "é", "→", "\u2028"]),
+
+# The structured keys in render order, after the attribute each reads.
+REF_STATS_KEYS = (
+    ("word_count", "words"),
+    ("sentence_count", "sentences"),
+    ("syllable_count", "syllables"),
+    ("letter_count", "letters"),
+    ("char_count", "characters"),
+    ("polysyllable_count", "polysyllables"),
+    ("complex_word_count", "complex_words"),
+    ("difficult_word_count", "difficult_words"),
 )
-_json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
+REF_INDEX_KEYS = (
+    ("flesch_reading_ease", "reading_ease"),
+    ("flesch_kincaid_grade", "reading_level"),
+    ("smog_index", "smog_index"),
+    ("gunning_fog", "gunning_fog"),
+    ("coleman_liau", "coleman_liau"),
+    ("ari", "automated_readability_index"),
+    ("dale_chall", "dale_chall"),
+)
+
+
+def _ref_r2(value):
+    rounded = round(float(value), 2)
+    return 0.0 if rounded == 0.0 else rounded
+
+
+def _ref_readability(report):
+    if report is None:
+        return None
+    scores = {key: _ref_r2(getattr(report, attr)) for attr, key in REF_INDEX_KEYS}
+    return {
+        "reading_ease": scores.pop("reading_ease"),
+        "reading_ease_label": report.ease_label,
+        **scores,
+        "text_standard": report.text_standard,
+    }
+
+
+def _ref_power(hits, dist):
+    if hits is None or dist is None:
+        return None
+    return {
+        "counts": {cat.value: hits.counts[cat] for cat in PowerCategory},
+        "total": hits.total,
+        "distribution": {cat.value: _ref_r2(dist.percentages[cat]) for cat in PowerCategory},
+        "matches": [
+            {"term": m.term, "category": m.category.value, "start": m.start, "end": m.end}
+            for m in hits.matches
+        ],
+    }
+
+
+def _ref_sentiment(score):
+    if score is None:
+        return None
+    return {
+        "polarity": _ref_r2(score.polarity),
+        "subjectivity": _ref_r2(score.subjectivity),
+        "matched_terms": score.matched_terms,
+    }
+
+
+def _ref_entities(spans):
+    if spans is None:
+        return None
+    return [
+        {"surface": s.surface, "label": s.label.value, "start": s.start, "end": s.end}
+        for s in spans
+    ]
+
+
+def reference_report_payload(report):
+    payload = {
+        "id": report.doc_id,
+        "stats": {key: getattr(report.stats, attr) for attr, key in REF_STATS_KEYS},
+    }
+    if "readability" in report.sections:
+        payload["readability"] = _ref_readability(report.readability)
+    if "power" in report.sections:
+        payload["power"] = _ref_power(report.power, report.power_distribution)
+    if "sentiment" in report.sections:
+        payload["sentiment"] = _ref_sentiment(report.sentiment)
+    if "entities" in report.sections:
+        payload["entities"] = _ref_entities(report.entities)
+    payload["warnings"] = list(report.warnings)
+    return payload
+
+
+def reference_corpus_payload(aggregates):
+    genres = []
+    for agg in aggregates:
+        readability = distribution = sentiment = None
+        if agg.mean_flesch_reading_ease is not None:
+            readability = {
+                key: _ref_r2(getattr(agg, f"mean_{attr}")) for attr, key in REF_INDEX_KEYS
+            }
+        if agg.mean_distribution is not None:
+            distribution = {c.value: _ref_r2(agg.mean_distribution[c]) for c in PowerCategory}
+        if agg.mean_polarity is not None:
+            sentiment = {
+                "polarity": _ref_r2(agg.mean_polarity),
+                "subjectivity": _ref_r2(agg.mean_subjectivity),
+            }
+        genres.append({
+            "genre": agg.genre,
+            "documents": agg.document_count,
+            "readability": readability,
+            "distribution": distribution,
+            "sentiment": sentiment,
+        })
+    plot_rows = [
+        {"genre": agg.genre, "category": c.value, "percentage": _ref_r2(agg.mean_distribution[c])}
+        for agg in aggregates
+        if agg.mean_distribution is not None
+        for c in PowerCategory
+    ]
+    return {"genres": genres, "plot_rows": plot_rows}
+
+
+def json_dumps_bytes(payload):
+    return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+# Quotes, backslashes and control characters, text that looks like the
+# separators of the indented output, and non-ASCII text.
+_HAZARDS = ['"', "\\", "\n", "\x00", "\x1f", "},\n{", "},", "{", "}", ",\n", "é", "→", "\u2028"]
+_texts = st.one_of(st.text(max_size=6), st.sampled_from(_HAZARDS))
+_floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.just(-0.0),
-    _json_strings,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 0.004, -0.004, 0.005, 1e-300, 1e300, 33.335]),
 )
-_flat_dicts = st.dictionaries(_json_strings, _json_scalars, max_size=4)
-_json_values = st.recursive(
-    st.one_of(_json_scalars, st.lists(_flat_dicts, max_size=4)),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4), st.dictionaries(_json_strings, children, max_size=4)
+_ints = st.integers(min_value=-(10**20), max_value=10**20)
+
+
+def _per_category(values):
+    return st.fixed_dictionaries({category: values for category in PowerCategory})
+
+
+_reports = st.builds(
+    AnalysisReport,
+    document=_texts.map(lambda doc_id: dataclasses.replace(_DOC, doc_id=doc_id)),
+    stats=st.builds(TextStats, *[_ints] * 8),
+    sections=st.frozensets(st.sampled_from(ALL_SECTIONS)),
+    readability=st.none()
+    | st.builds(ReadabilityReport, _floats, _texts, *[_floats] * 6, _texts, st.booleans()),
+    power=st.none()
+    | st.builds(
+        PowerWordHits,
+        counts=_per_category(_ints),
+        matches=st.lists(
+            st.builds(PowerMatch, _texts, st.sampled_from(PowerCategory), _ints, _ints),
+            max_size=6,
+        ).map(tuple),
     ),
-    max_leaves=30,
+    power_distribution=st.none()
+    | st.builds(CategoryDistribution, _per_category(_floats), st.booleans()),
+    sentiment=st.none() | st.builds(SentimentScore, _floats, _floats, _ints),
+    entities=st.none()
+    | st.lists(
+        st.builds(EntitySpan, _ints, _ints, _texts, st.sampled_from(EntityLabel)), max_size=6
+    ).map(tuple),
+    warnings=st.lists(_texts, max_size=4).map(tuple),
 )
 
 
-@settings(max_examples=500, deadline=None)
-@given(value=_json_values)
-@example(value={"matches": [{"term": "},\n{", "start": 1}, {"term": "{", "end": -0.0}], "e": []})
-@example(value=[{}, {"a": float("nan")}, [], {"b": [float("inf"), None, True]}])
-def test_dumps_equals_json_dumps_with_indent_2(value):
-    assert _dumps(value) == json.dumps(value, ensure_ascii=False, indent=2)
+def _build_aggregate(genre, count, indices, distribution, sentiment):
+    """A GenreAggregate whose readability and sentiment means are all
+    present or all None, as ``aggregate`` makes them."""
+    return GenreAggregate(
+        genre, count, *(indices or (None,) * 7), distribution, *(sentiment or (None, None))
+    )
+
+
+_aggregates = st.builds(
+    _build_aggregate,
+    _texts,
+    _ints,
+    st.none() | st.tuples(*[_floats] * 7),
+    st.none() | _per_category(_floats),
+    st.none() | st.tuples(_floats, _floats),
+)
+
+_NO_HITS = PowerWordHits(counts={category: 0 for category in PowerCategory}, matches=())
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_reports)
+@example(
+    report=make_render_report(
+        power=_NO_HITS,
+        power_distribution=CategoryDistribution({c: 0.0 for c in PowerCategory}, empty=True),
+        entities=(),
+    )
+)
+@example(
+    report=make_render_report(
+        power=dataclasses.replace(
+            _NO_HITS,
+            matches=(
+                PowerMatch("},\n{", PowerCategory.FEAR, 0, 4),
+                PowerMatch("\u2028", PowerCategory.LUST, 5, 6),
+            ),
+        ),
+        power_distribution=CategoryDistribution(
+            {c: float("nan") for c in PowerCategory}, empty=False
+        ),
+        sentiment=SentimentScore(float("inf"), float("-inf"), 0),
+        entities=(EntitySpan(0, 1, '"\\\x00', EntityLabel.DATE),),
+        warnings=("\x1f", "é→"),
+    )
+)
+def test_render_structured_report_equals_json_dumps_of_its_payload(report):
+    assert render_structured(report) == json_dumps_bytes(reference_report_payload(report))
+
+
+@settings(max_examples=200, deadline=None)
+@given(aggregates=st.lists(_aggregates, max_size=4))
+@example(aggregates=[])
+def test_render_structured_aggregates_equal_json_dumps_of_their_payload(aggregates):
+    assert render_structured(aggregates) == json_dumps_bytes(reference_corpus_payload(aggregates))
