@@ -17,9 +17,9 @@ keep the reports themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from functools import cache
+from math import fsum
 from pathlib import Path
-from statistics import fmean
 from typing import (
     IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence,
 )
@@ -128,56 +128,64 @@ _NAMED_ENTITIES = {
 _REPLACEMENT = "\ufffd"
 
 
-class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=False)
-        self.pieces: list[str] = []
-        self._drop_depth = 0
+@cache
+def _text_extractor() -> type:
+    """The ``HTMLParser`` subclass that ``strip_html`` feeds, made once, on
+    first use: ``html.parser`` is imported with the first HTML document."""
+    from html.parser import HTMLParser
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _DROP_CONTENT_TAGS:
-            self._drop_depth += 1
-        elif tag in _BLOCK_TAGS:
-            self.pieces.append("\n")
+    class TextExtractor(HTMLParser):
+        def __init__(self) -> None:
+            super().__init__(convert_charrefs=False)
+            self.pieces: list[str] = []
+            self._drop_depth = 0
 
-    def handle_endtag(self, tag):
-        if tag in _DROP_CONTENT_TAGS:
-            self._drop_depth = max(0, self._drop_depth - 1)
-        elif tag in _BLOCK_TAGS:
-            self.pieces.append("\n")
+        def handle_starttag(self, tag, attrs):
+            if tag in _DROP_CONTENT_TAGS:
+                self._drop_depth += 1
+            elif tag in _BLOCK_TAGS:
+                self.pieces.append("\n")
 
-    def handle_startendtag(self, tag, attrs):
-        if tag in _BLOCK_TAGS:
-            self.pieces.append("\n")
+        def handle_endtag(self, tag):
+            if tag in _DROP_CONTENT_TAGS:
+                self._drop_depth = max(0, self._drop_depth - 1)
+            elif tag in _BLOCK_TAGS:
+                self.pieces.append("\n")
 
-    def handle_data(self, data):
-        if not self._drop_depth:
-            self.pieces.append(data)
+        def handle_startendtag(self, tag, attrs):
+            if tag in _BLOCK_TAGS:
+                self.pieces.append("\n")
 
-    def handle_entityref(self, name):
-        if self._drop_depth:
-            return
-        decoded = _NAMED_ENTITIES.get(name)
-        self.pieces.append(decoded if decoded is not None else f"&{name};")
+        def handle_data(self, data):
+            if not self._drop_depth:
+                self.pieces.append(data)
 
-    def handle_charref(self, name):
-        if self._drop_depth:
-            return
-        try:
-            char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
-        except (ValueError, OverflowError):
-            char = _REPLACEMENT  # past U+10FFFF
-        # A surrogate code point is no character: UTF-8 cannot encode it.
-        if "\ud800" <= char <= "\udfff":
-            char = _REPLACEMENT
-        self.pieces.append(char)
+        def handle_entityref(self, name):
+            if self._drop_depth:
+                return
+            decoded = _NAMED_ENTITIES.get(name)
+            self.pieces.append(decoded if decoded is not None else f"&{name};")
+
+        def handle_charref(self, name):
+            if self._drop_depth:
+                return
+            try:
+                char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
+            except (ValueError, OverflowError):
+                char = _REPLACEMENT  # past U+10FFFF
+            # A surrogate code point is no character: UTF-8 cannot encode it.
+            if "\ud800" <= char <= "\udfff":
+                char = _REPLACEMENT
+            self.pieces.append(char)
+
+    return TextExtractor
 
 
 def strip_html(html: str) -> str:
     """Markup-free text: tags removed, script/style contents dropped,
     block tags turned into line breaks, the pinned entity set decoded,
     and whitespace normalized (single spaces, single blank lines)."""
-    extractor = _TextExtractor()
+    extractor = _text_extractor()()
     extractor.feed(html)
     extractor.close()
     raw = "".join(extractor.pieces)
@@ -373,8 +381,13 @@ class GenreAggregate:
     mean_subjectivity: float | None
 
 
+def _fmean(values: list[float]) -> float:
+    """The mean of ``values`` as ``statistics.fmean`` computes it."""
+    return fsum(values) / len(values)
+
+
 def _mean_or_none(
-    values: list, what: str, genre: str, mean: Callable[[list], Any] = fmean
+    values: list, what: str, genre: str, mean: Callable[[list], Any] = _fmean
 ) -> Any:
     """``mean`` of ``values`` when every one is present, None when none is."""
     present = [value for value in values if value is not None]
@@ -392,7 +405,7 @@ def _mean_distribution(
     distributions: list[CategoryDistribution],
 ) -> dict[PowerCategory, float]:
     return {
-        category: fmean(d.percentages[category] for d in distributions)
+        category: _fmean([d.percentages[category] for d in distributions])
         for category in PowerCategory
     }
 

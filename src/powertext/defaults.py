@@ -9,7 +9,6 @@ files with the same names.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from pathlib import Path
 
 __all__ = [
@@ -43,7 +42,7 @@ def data_dir() -> Path:
     override = os.environ.get(ENV_DATA_DIR)
     if override:
         return Path(override)
-    return Path(str(resources.files("powertext"))) / "data"
+    return Path(__file__).resolve().parent / "data"
 
 
 def data_path(name: str) -> Path:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring as _string
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -306,6 +305,17 @@ def _number(value: float) -> str:
     """``_r2(value)`` as ``json`` encodes a float."""
     text = repr(_r2(value))
     return _NON_FINITE.get(text, text)
+
+
+# The escapes of ``json.dumps(..., ensure_ascii=False)``: the quote, the
+# backslash and U+0000 to U+001F, with the short forms of ``\b\f\n\r\t``.
+_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
+_ESCAPES.update({ord(ch): "\\" + short for ch, short in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _string(text: str) -> str:
+    """``text`` as a JSON string."""
+    return '"' + text.translate(_ESCAPES) + '"'
 
 
 def _block(members: Sequence[str], depth: int, brackets: str) -> str:

@@ -15,8 +15,8 @@ lexicon file is read by ``textcore.DataLines``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum, isfinite
 from pathlib import Path
-from statistics import fmean
 from typing import IO, Mapping, NamedTuple, Sequence
 
 from .candidates import CandidateIndex, StartWords
@@ -73,7 +73,7 @@ def _finite(lines: DataLines, text: str, what: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise lines.error(f"{what} must be a number, got {text!r}") from exc
-    if value != value or value in (float("inf"), float("-inf")):
+    if not isfinite(value):
         raise lines.error(f"{what} must be finite")
     return value
 
@@ -182,7 +182,7 @@ def analyze_sentiment(
     if not contributions:
         return SentimentScore(polarity=0.0, subjectivity=0.0, matched_terms=0)
     return SentimentScore(
-        polarity=_clamp(fmean(contributions), -1.0, 1.0),
-        subjectivity=_clamp(fmean(subjectivities), 0.0, 1.0),
+        polarity=_clamp(fsum(contributions) / len(contributions), -1.0, 1.0),
+        subjectivity=_clamp(fsum(subjectivities) / len(subjectivities), 0.0, 1.0),
         matched_terms=len(contributions),
     )

@@ -65,7 +65,7 @@ import re
 import unicodedata
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
@@ -331,9 +331,11 @@ class PhraseMatcher:
 
 def tokenizes_as_words(phrase: str) -> bool:
     """Whether each space-separated word of ``phrase`` tokenizes to exactly
-    one word token; a phrase for which this fails can never match."""
-    tokens = tokenize(phrase)
-    return len(tokens) == phrase.count(" ") + 1 and all(tokens.is_word)
+    one word token (a byte-order mark is none); else it can never match."""
+    subject = phrase if phrase.isascii() else phrase.translate(_Classes())
+    return all(
+        (match := _TOKEN.fullmatch(word)) and match.lastindex for word in subject.split(" ")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +851,8 @@ class DataLines:
         self.version: str | None = None
         self.lineno: int | None = None
         self.raw: str | None = None
-        # (id of a table, key) -> line that first defined the key.
-        self._first_line: dict[tuple[int, object], int] = {}
+        # id of a table -> {key: line that first defined the key}.
+        self._first_lines: defaultdict[int, dict[object, int]] = defaultdict(dict)
 
     def __iter__(self) -> Iterator[str]:
         for self.lineno, self.raw in enumerate(self._lines, start=1):
@@ -904,7 +906,7 @@ class DataLines:
 
     def define(self, table: dict, key: object, value: object, what: str) -> None:
         """Set ``table[key] = value``; a repeated key must repeat its value."""
-        first = self._first_line.setdefault((id(table), key), self.lineno)
+        first = self._first_lines[id(table)].setdefault(key, self.lineno)
         old = table.setdefault(key, value)
         if old != value:
             raise self.error(

@@ -103,6 +103,14 @@ def test_load_gazetteer_drops_a_leading_byte_order_mark():
     assert gaz.entries == {"america": EntityLabel.GPE}
 
 
+def test_load_gazetteer_rejects_a_surface_led_by_a_byte_order_mark_inside_the_file():
+    # A mark past the start of a file is a non-word token: the surface
+    # could never match.
+    with pytest.raises(DataFileError, match="never match") as err:
+        load_gazetteer(io.StringIO("[GPE]\nLondon\n\ufeffParis\n"))
+    assert err.value.line == 3
+
+
 # ---------------------------------------------------------------------------
 # date patterns
 # ---------------------------------------------------------------------------

@@ -143,6 +143,14 @@ def test_load_drops_a_leading_byte_order_mark():
     assert lex.entries == {"free": PowerCategory.GREED}
 
 
+def test_load_rejects_a_term_led_by_a_byte_order_mark_inside_the_file():
+    # A mark past the start of a file, as concatenated files leave it, is
+    # a non-word token: the term could never match.
+    with pytest.raises(DataFileError, match="never match") as err:
+        lexicon_from("term,category\nfree,Greed\n\ufeffbonus,Greed\n")
+    assert err.value.line == 3
+
+
 def test_load_rejects_lines_without_comma():
     with pytest.raises(DataFileError):
         lexicon_from("free\n")

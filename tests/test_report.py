@@ -5,14 +5,18 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import powertext
 from powertext.corpus import GenreAggregate, aggregate, load_corpus, load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
 from powertext import textcore
@@ -256,6 +260,26 @@ def test_load_resources_tolerates_missing_exceptions_file(tmp_path, monkeypatch)
     monkeypatch.setenv("POWERTEXT_DATA", str(tmp_path))
     resources = load_resources(AnalysisConfig(sections=frozenset({"readability"})))
     assert resources.word_table.exceptions == {}
+
+
+def test_import_and_load_resources_leave_unused_modules_unloaded():
+    # Standard-library modules that the import and ``load_resources`` have
+    # no use for; ``html.parser`` is imported by the first ``strip_html``.
+    # ``-S``: a site-packages ``.pth`` file may import modules of its own.
+    unused = ("statistics", "html.parser", "json", "importlib.resources")
+    code = (
+        "import sys, powertext\n"
+        "powertext.load_resources(powertext.AnalysisConfig())\n"
+        f"print([name for name in {unused!r} if name in sys.modules])\n"
+        "print(repr(powertext.strip_html('<p>a &amp; b</p>')), 'html.parser' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(powertext.__file__).resolve().parent.parent))
+    env.pop("POWERTEXT_DATA", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "'a & b' True"]
 
 
 # ---------------------------------------------------------------------------

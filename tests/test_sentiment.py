@@ -101,6 +101,30 @@ def test_load_rejects_nonpositive_modifier_factors():
         lexicon_from("[modifiers]\nvery,-1.5\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("good,0.5,0.5\ngreat,{},0.5\n", 2, "polarity"),
+        ("good,0.5,0.5\ngreat,0.5,{}\n", 2, "subjectivity"),
+        ("good,0.5,0.5\n[modifiers]\nvery,{}\n", 3, "factor"),
+    ],
+)
+def test_load_rejects_non_finite_numbers(text, line, what, value):
+    with pytest.raises(DataFileError) as err:
+        lexicon_from(text.format(value))
+    assert str(err.value) == f"<stream>:{line}: {what} must be finite"
+
+
+def test_conflicting_modifier_names_its_first_line_in_the_modifier_table():
+    # "very" is also an entry, on line 1: each table keeps its own first lines.
+    with pytest.raises(DataFileError) as err:
+        lexicon_from("very,0.2,0.3\ngood,0.5,0.5\n[modifiers]\nvery,1.5\nquite,1.2\nvery,2.0\n")
+    assert str(err.value) == (
+        "<stream>:6: modifier 'very' already defined as 1.5 on line 4, conflicting 2.0"
+    )
+
+
 def test_load_rejects_conflicting_duplicates_dedupes_identical():
     lex = lexicon_from("great,0.8,0.75\ngreat,0.8,0.75\n")
     assert len(lex.entries) == 1
