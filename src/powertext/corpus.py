@@ -345,14 +345,10 @@ def _load_entry(entry: ManifestEntry) -> CorpusDocument:
     else:
         text = raw
 
-    # A leading byte-order mark is not text (see ``textcore.tokenize``).
-    if not text.removeprefix("\ufeff").strip():
+    document = build_document(entry.doc_id, text)
+    if not document.tokens:
         raise InputTextError(f"{entry.doc_id}: cleaned text is empty")
-    return CorpusDocument(
-        document=build_document(entry.doc_id, text),
-        genre=entry.genre,
-        warnings=warnings,
-    )
+    return CorpusDocument(document=document, genre=entry.genre, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

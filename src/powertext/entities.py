@@ -1,7 +1,7 @@
 """Rule-based entity tagging: dates, times, numbers, and gazetteer lookups.
 
-This is a deliberately deterministic tagger.  A pattern pass finds
-date expressions, a small set of time-of-day phrases, and cardinal
+This is a deliberately deterministic tagger.  Pattern passes find date
+expressions, then fixed date and time-of-day phrases, then cardinal
 numbers (digit tokens and spelled-out number words); a gazetteer pass
 then applies longest-match lookup for curated surface forms (peoples,
 places, organizations, laws, persons, works).  Earlier passes win on
@@ -81,7 +81,7 @@ class Gazetteer:
     The surfaces are compiled once, at construction, into a
     ``PhraseMatcher``.  ``start_words`` holds every key but a number token
     at which the tagger's passes can start a match: the first words of the
-    surfaces and of the time phrases, and the date start words.
+    surfaces and of the fixed phrases, and the date start words.
     """
 
     entries: Mapping[str, EntityLabel]
@@ -91,7 +91,7 @@ class Gazetteer:
     def __post_init__(self) -> None:
         matcher = PhraseMatcher(self.entries)
         object.__setattr__(self, "_matcher", matcher)
-        starts = _DATE_START_WORDS.union(matcher.first_words, _TIME_PHRASES.first_words)
+        starts = _DATE_START_WORDS.union(matcher.first_words, _FIXED_PHRASES.first_words)
         object.__setattr__(self, "start_words", starts)
 
 
@@ -108,24 +108,21 @@ _MONTHS = {
     "january", "february", "march", "april", "may", "june", "july",
     "august", "september", "october", "november", "december",
 }
-# Phrases tagged DATE verbatim.  "score years ago" keeps the archaic
-# "score" out of the number grammar while still dating the phrase.
-_DATE_PHRASE_TEXTS = ("score years ago",)
-_DATE_PHRASES = PhraseMatcher(dict.fromkeys(_DATE_PHRASE_TEXTS, EntityLabel.DATE))
-# Small fixed list of time-of-day expressions.
-_TIME_PHRASES = PhraseMatcher(
-    dict.fromkeys(("the long night", "midnight", "noon"), EntityLabel.TIME)
+# Phrases tagged verbatim, after the date pass.  "score years ago" keeps
+# the archaic "score" out of the number grammar while still dating the
+# phrase (no date rule can claim one of its words); the rest are a small
+# fixed list of time-of-day expressions.
+_FIXED_PHRASES = PhraseMatcher(
+    {
+        "score years ago": EntityLabel.DATE,
+        **dict.fromkeys(("the long night", "midnight", "noon"), EntityLabel.TIME),
+    }
 )
 
 _YEAR_RANGE = range(1500, 2100)
 
 # Keys that can start a date other than a number token (which covers years).
-_DATE_START_WORDS = frozenset(
-    _MONTHS
-    | _RELATIVE_DAYS
-    | _WEEKDAYS
-    | {phrase.split(" ")[0] for phrase in _DATE_PHRASE_TEXTS}
-)
+_DATE_START_WORDS = frozenset(_MONTHS | _RELATIVE_DAYS | _WEEKDAYS)
 
 
 # ``isdecimal``, not ``isdigit``: superscripts such as "²" are digits that
@@ -231,8 +228,7 @@ class _Tagger:
         none); ``run`` is the number-token run length at i."""
         keys = self.keys
         key = keys[i]
-        phrase = _DATE_PHRASES.longest_at(keys, i)
-        best = phrase[0] - i if phrase is not None else 0
+        best = 0
 
         # "<number words> years ago|later"
         if run:
@@ -309,13 +305,13 @@ def tag_entities(
 ) -> list[EntitySpan]:
     """All entity spans in ``doc``, ordered by start, never overlapping.
 
-    Pass order (earlier wins): dates, times, cardinals, then gazetteer
-    longest-match.  Unmatched text is left untagged.  ``index`` is the
-    document's ``CandidateIndex`` when its start words include
-    ``gazetteer.start_words`` and its numbers are the document's number
-    keys (as ``analyze`` builds it); an index built for other start words
-    or without number keys raises ``ValueError``.  Without one, the tagger
-    scans the document's keys for its own.
+    Pass order (earlier wins): dates, fixed date and time phrases,
+    cardinals, then gazetteer longest-match.  Unmatched text is left
+    untagged.  ``index`` is the document's ``CandidateIndex`` when its
+    start words include ``gazetteer.start_words`` and its numbers are the
+    document's number keys (as ``analyze`` builds it); an index built for
+    other start words or without number keys raises ``ValueError``.
+    Without one, the tagger scans the document's keys for its own.
     """
     if index is None:
         distinct = set(doc.keys)
@@ -326,7 +322,7 @@ def tag_entities(
         raise ValueError("the candidate index holds no number keys")
     tagger = _Tagger(doc, index)
     tagger.run_dates()
-    tagger.run_phrases(_TIME_PHRASES)
+    tagger.run_phrases(_FIXED_PHRASES)
     tagger.run_cardinals()
     tagger.run_phrases(gazetteer._matcher)
     return sorted(tagger.spans, key=lambda span: span.start)

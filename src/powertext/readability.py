@@ -244,8 +244,6 @@ def readability_report(stats: TextStats) -> ReadabilityReport:
     Raises ``InputTextError`` for texts with no words, no sentences, or
     fewer than the 3 sentences the polysyllable index requires.
     """
-    _require_counts(stats)
-
     ease = flesch_reading_ease(stats)
     level = flesch_kincaid_grade(stats)
     smog = _smog(stats)

@@ -405,8 +405,6 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     skip_space = _SPACE_RUN.match
     # Start of the current sentence: first non-whitespace char not yet consumed.
     cursor = skip_space(text, 1 if text.startswith(_BOM) else 0).end()
-    if cursor == n:
-        return []
 
     for run in _TERMINATOR_RUN.finditer(text, cursor):
         after = run.end()
@@ -550,8 +548,6 @@ def _part_syllables(part: str) -> int:
         return count + _vowel_runs("".join(ch for ch in part if not ch.isdigit()))
     else:
         letters = "".join(ch for ch in part if ch.isalpha())
-        if not letters:
-            return 0
     count = _vowel_runs(letters)
     if count > 1 and letters.endswith("e"):
         if letters.endswith("le") and len(letters) >= 3 and letters[-3] not in _VOWELS:
@@ -762,14 +758,12 @@ class DocumentTypes:
         return frozenset(compress(map(_KEY, entries), map(_NUMBER, entries)))
 
     def fill_keys(self, doc: Document) -> tuple[str | None, ...]:
-        """``doc.keys``, filled from the entries unless ``doc`` has
-        computed them already; ``doc`` is the document of these types."""
-        keys = doc.__dict__.get("keys")
-        if keys is None:
-            memo = dict(zip(self.counts, map(_KEY, self.entries)))
-            keys = tuple(map(memo.get, doc.tokens.texts))
-            # ``keys`` is a cached property: it reads the instance's dict.
-            object.__setattr__(doc, "keys", keys)
+        """``doc.keys``, filled from the entries; ``doc`` is the document
+        of these types."""
+        memo = dict(zip(self.counts, map(_KEY, self.entries)))
+        keys = tuple(map(memo.get, doc.tokens.texts))
+        # ``keys`` is a cached property: it reads the instance's dict.
+        object.__setattr__(doc, "keys", keys)
         return keys
 
 
@@ -847,7 +841,9 @@ class DataLines:
                 data = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise DataFileError(f"cannot read file: {exc}", source=self.source) from exc
-        self._lines = data.removeprefix(_BOM).splitlines()
+        # Lines end where ``open`` and editors end them, not at ``\f`` or U+2028.
+        data = data.removeprefix(_BOM).replace("\r\n", "\n").replace("\r", "\n")
+        self._lines = data.split("\n")
         self.version: str | None = None
         self.lineno: int | None = None
         self.raw: str | None = None

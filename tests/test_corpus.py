@@ -6,6 +6,7 @@ from __future__ import annotations
 import html as html_module
 import io
 import random
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,11 @@ def test_script_and_style_contents_dropped():
     assert strip_html("<script>x=1</script>hi") == "hi"
     assert strip_html("<style>p { color: red }</style>hi") == "hi"
     assert strip_html("<script>a</script>keep<script>b</script>") == "keep"
+
+
+def test_script_and_style_contents_drop_their_character_references():
+    assert strip_html("<script>a &amp; b &#65;</script>keep") == "keep"
+    assert strip_html("<style>&amp;&#65;&#x41;</style>keep") == "keep"
 
 
 def test_named_and_numeric_entities():
@@ -267,6 +273,24 @@ def test_manifest_accepts_ids_with_inner_dots(tmp_path):
     stream = io.StringIO("a.txt,v1.2,fiction,plain\nb.txt,corpus-2,speech,plain\n")
     manifest = load_manifest(stream, base_dir=tmp_path)
     assert [entry.doc_id for entry in manifest.entries] == ["v1.2", "corpus-2"]
+
+
+@pytest.mark.parametrize(
+    "line, message", [(",doc-b,speech,plain", "empty path"), ("b.txt,,speech,plain", "empty id")]
+)
+def test_manifest_empty_path_or_id_names_its_line(tmp_path, line, message):
+    stream = io.StringIO(f"a.txt,doc-a,fiction,plain\n{line}\n")
+    with pytest.raises(DataFileError, match=f"^<stream>:2: {message}$"):
+        load_manifest(stream, base_dir=tmp_path)
+
+
+def test_manifest_stream_without_base_dir_resolves_against_the_working_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    stream = io.StringIO(f"a.txt,doc-a,fiction,plain\n{tmp_path / 'b.txt'},doc-b,speech,plain\n")
+    manifest = load_manifest(stream)
+    assert [entry.path for entry in manifest.entries] == [Path.cwd() / "a.txt", tmp_path / "b.txt"]
 
 
 def test_manifest_empty_is_error(tmp_path):

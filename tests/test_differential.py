@@ -29,11 +29,9 @@ from hypothesis import strategies as st
 
 from powertext.defaults import GAZETTEER_FILE, data_path
 from powertext.entities import (
-    _DATE_PHRASES,
     _DATE_START_WORDS,
     _MONTHS,
     _RELATIVE_DAYS,
-    _TIME_PHRASES,
     _WEEKDAYS,
     EntityLabel,
     EntitySpan,
@@ -557,6 +555,16 @@ def reference_find(root: dict, keys: Sequence[str | None]) -> Iterator[tuple[int
         i += 1
 
 
+# The reference tagger's own phrase tables: it matches the date phrase
+# inside the date pass and the time phrases in a pass of their own, as
+# the tagger did before both moved into one fixed-phrase pass.
+REFERENCE_DATE_PHRASES = PhraseMatcher({"score years ago": EntityLabel.DATE})
+REFERENCE_TIME_PHRASES = PhraseMatcher(
+    dict.fromkeys(("the long night", "midnight", "noon"), EntityLabel.TIME)
+)
+REFERENCE_DATE_START_WORDS = _MONTHS | _RELATIVE_DAYS | _WEEKDAYS | {"score"}
+
+
 class ReferenceTagger:
     def __init__(self, doc: Document):
         self.raw = doc.raw
@@ -586,7 +594,7 @@ class ReferenceTagger:
     def _match_date_at(self, i: int, run: int) -> int:
         keys = self.keys
         key = keys[i]
-        phrase = reference_longest_at(_DATE_PHRASES._root, keys, i)
+        phrase = reference_longest_at(REFERENCE_DATE_PHRASES._root, keys, i)
         best = phrase[0] - i if phrase is not None else 0
         if run:
             j = i + run
@@ -619,7 +627,7 @@ class ReferenceTagger:
         runs = self.number_runs()
         i = 0
         while i < len(self.texts):
-            if runs[i] or keys[i] in _DATE_START_WORDS:
+            if runs[i] or keys[i] in REFERENCE_DATE_START_WORDS:
                 length = self._match_date_at(i, runs[i])
                 if length:
                     self.claim(i, i + length, EntityLabel.DATE)
@@ -646,7 +654,7 @@ class ReferenceTagger:
 def reference_tag_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
     tagger = ReferenceTagger(doc)
     tagger.run_dates()
-    tagger.run_phrases(_TIME_PHRASES)
+    tagger.run_phrases(REFERENCE_TIME_PHRASES)
     tagger.run_cardinals()
     tagger.run_phrases(gazetteer._matcher)
     return sorted(tagger.spans, key=lambda span: span.start)

@@ -151,6 +151,35 @@ def test_load_rejects_a_term_led_by_a_byte_order_mark_inside_the_file():
     assert err.value.line == 3
 
 
+# Characters that ``str.splitlines`` breaks at but ``open``, ``grep -n`` and
+# editors do not: a data-file line holding one is still one line.
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS)
+def test_errors_name_the_line_after_a_character_that_ends_no_line(char):
+    # A line holding only the character is blank.
+    with pytest.raises(DataFileError, match="^<stream>:4: unknown category 'Nope'") as err:
+        lexicon_from(f"term,category\nfree,Greed\n{char}\nbonus,Nope\n")
+    assert err.value.line == 4
+    # Inside a line, the character is part of it.
+    with pytest.raises(DataFileError) as err:
+        lexicon_from(f"term,category\nfree,Greed{char}x\nbonus,Greed\n")
+    assert err.value.line == 2
+    assert repr(f"Greed{char}x") in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_universal_newlines_end_data_file_lines(newline):
+    text = newline.join(["term,category", "free,Greed", "", "bonus,Nope", ""])
+    with pytest.raises(DataFileError, match="^<stream>:4: unknown category 'Nope'"):
+        lexicon_from(text)
+    assert load_lexicon(io.BytesIO(text.replace("Nope", "Greed").encode())).entries == {
+        "free": PowerCategory.GREED,
+        "bonus": PowerCategory.GREED,
+    }
+
+
 def test_load_rejects_lines_without_comma():
     with pytest.raises(DataFileError):
         lexicon_from("free\n")

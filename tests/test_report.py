@@ -573,6 +573,21 @@ def test_corpus_markdown_contains_plot_table():
     assert "| speech | Greed | 70.00 |" in text
 
 
+def test_corpus_markdown_of_readability_only_reports_shows_readability_alone():
+    config = AnalysisConfig(sections=frozenset({"readability"}))
+    text = "The bold plan was free. We liked it very much. It ended well. So did we."
+    reports = [
+        (analyze(build_document(f"doc-{genre}", text), config), genre)
+        for genre in ("speech", "fiction")
+    ]
+    markdown = render_corpus_markdown(aggregate(reports))
+    assert "## fiction (1 documents)" in markdown and "## speech (1 documents)" in markdown
+    assert markdown.count("| Metric | Mean score |") == 2
+    assert "Mean share" not in markdown
+    assert "polarity" not in markdown and "subjectivity" not in markdown
+    assert "plot data" not in markdown and "| Genre | Category | Percentage |" not in markdown
+
+
 def test_markdown_rounds_a_tiny_negative_polarity_to_zero_as_structured_does():
     # Its entry scores average to -1.1e-16, not to 0.0.
     doc = build_document("tiny", "It was extremely abhor. It was so flawless. Then it ended.")
