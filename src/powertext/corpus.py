@@ -160,15 +160,13 @@ def _text_extractor() -> type:
             if not self._drop_depth:
                 self.pieces.append(data)
 
+        # ``HTMLParser`` passes script and style contents to ``handle_data``
+        # as raw text: neither reference handler runs inside them.
         def handle_entityref(self, name):
-            if self._drop_depth:
-                return
             decoded = _NAMED_ENTITIES.get(name)
             self.pieces.append(decoded if decoded is not None else f"&{name};")
 
         def handle_charref(self, name):
-            if self._drop_depth:
-                return
             try:
                 char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
             except (ValueError, OverflowError):

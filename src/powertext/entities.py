@@ -50,6 +50,9 @@ class EntityLabel(enum.Enum):
     WORK_OF_ART = "WORK_OF_ART"
     PERSON = "PERSON"
 
+    # Hashed by identity, in C, as ``powerwords.PowerCategory`` is.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -205,9 +208,8 @@ class _Tagger:
         start = self.starts[start_tok]
         end = self.end(end_tok - 1)
         self.keys[start_tok:end_tok] = [None] * (end_tok - start_tok)
-        self.spans.append(
-            EntitySpan(start=start, end=end, surface=self.raw[start:end], label=label)
-        )
+        # ``_make`` hands the tuple to ``tuple.__new__``: no keyword call.
+        self.spans.append(EntitySpan._make((start, end, self.raw[start:end], label)))
 
     def number_runs(self) -> dict[int, int]:
         """``runs[i]``: how many unclaimed number tokens follow in a row from

@@ -48,6 +48,11 @@ class PowerCategory(enum.Enum):
     FEAR = "Fear"
     FORBIDDEN = "Forbidden"
 
+    # Members are singletons that compare by identity, so they hash by it
+    # too, in C; ``Enum.__hash__`` hashes the name in Python, once per
+    # dict lookup (per-category counts, the renderer's string memo).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # render as the data-file spelling
         return self.value
 
@@ -166,8 +171,10 @@ def scan(
     """
     starts, end = doc.tokens.starts, doc.tokens.end
     counts: dict[PowerCategory, int] = {category: 0 for category in PowerCategory}
+    # ``_make`` hands the tuple to ``tuple.__new__``: no keyword call.
+    make = PowerMatch._make
     matches = tuple(
-        PowerMatch(term=term, category=category, start=starts[start], end=end(stop - 1))
+        make((term, category, starts[start], end(stop - 1)))
         for start, stop, (term, category) in matcher.find(doc.keys, index=index)
     )
     for match in matches:

@@ -28,7 +28,10 @@ is the whole token grammar: a text that is not ASCII is scanned through
 a translation that gives each non-ASCII character a one-character
 stand-in for its class (letter or digit, combining mark, ``’``,
 whitespace, other).  ``split_sentences`` visits only the runs of
-sentence terminators.
+sentence terminators that whitespace follows.  Both patterns open with a
+character class, so the regex engine skips to each match with its C
+prefix scan; one that opens with a group, a branch of groups or a repeat
+gets none, and tries a whole match at every position it passes.
 
 Text work is done once and shared.  A ``WordTable`` is a run's type
 table: for each distinct word text it normalizes the text once and keeps
@@ -98,9 +101,14 @@ _HYPHEN = "-"
 # A byte-order mark that an editor left at the start of a file.
 _BOM = "\ufeff"
 
-# A run of sentence terminators and the closing marks allowed to trail it.
-_TERMINATOR_RUN = re.compile(r"""[.!?]+["'’”)»\]]*""")
-# ``\s`` is exactly ``str.isspace``.
+# A sentence-break candidate: a run of terminators and the closing marks
+# allowed to trail it (group 1), and the whitespace after it.  It opens
+# with a character class, not a repeat, so ``re`` skips to each terminator
+# with its C prefix scan.  A match cannot start at a closer, and one that
+# starts inside a run ends where the run does: the matches are exactly
+# the runs whitespace follows.  ``\s`` is exactly ``str.isspace``.
+_BREAK = re.compile(r"""([.!?][.!?]*["'’”)»\]]*)\s+""")
+# Leading whitespace.
 _SPACE_RUN = re.compile(r"\s*")
 
 # Abbreviations that must not end a sentence even when followed by
@@ -349,6 +357,8 @@ def normalize(text: str) -> str:
     Curly apostrophes fold to straight ones so ``don’t`` and ``don't``
     compare equal.  Used for lexicon lookup, never for display.
     """
+    if text.isascii():  # NFC and the apostrophe fold leave ASCII as it is
+        return text.lower()
     folded = unicodedata.normalize("NFC", text).lower()
     return folded.replace("’", "'")
 
@@ -379,14 +389,19 @@ def is_number_key(key: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _preceding_word(text: str, pos: int) -> str:
-    """The letter/dot run ending just before ``pos`` (for the abbreviation
-    guard); dots are kept so compound abbreviations like ``e.g`` survive,
-    and combining marks so the NFD form of a word stays whole."""
+def _abbreviation_before(text: str, pos: int) -> bool:
+    """Whether the letter/dot run ending just before ``pos``, outer dots
+    stripped and lowercased, is a known abbreviation.  Inner dots are kept
+    so ``e.g`` survives, and combining marks so an NFD word stays whole.
+    When the five characters before ``pos`` are letters, the run is not
+    walked: it ends in them, ``str.lower`` never shortens it, and no
+    abbreviation has five letters."""
+    if pos >= 5 and text[pos - 5 : pos].isalpha():
+        return False
     i = pos
     while i > 0 and (text[i - 1].isalpha() or text[i - 1] == "." or _is_mark(text[i - 1])):
         i -= 1
-    return text[i:pos].strip(".")
+    return text[i:pos].strip(".").lower() in _ABBREVIATIONS
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -397,25 +412,22 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     letter or digit next.  The word before the terminator must not be a
     known abbreviation.  Text without any terminator is one sentence.
     Spans cover every non-whitespace character but a leading byte-order
-    mark, and never overlap.  Only the terminator runs are visited; the
-    regex engine skips the text between them.
+    mark, and never overlap.  Only the terminator runs that whitespace
+    follows are visited; the regex engine skips the text between them.
     """
     n = len(text)
     spans: list[tuple[int, int]] = []
-    skip_space = _SPACE_RUN.match
     # Start of the current sentence: first non-whitespace char not yet consumed.
-    cursor = skip_space(text, 1 if text.startswith(_BOM) else 0).end()
+    cursor = _SPACE_RUN.match(text, 1 if text.startswith(_BOM) else 0).end()
 
-    for run in _TERMINATOR_RUN.finditer(text, cursor):
-        after = run.end()
-        next_char = skip_space(text, after).end()
+    for run in _BREAK.finditer(text, cursor):
+        next_char = run.end()
         if (
-            next_char > after  # at least one whitespace char follows
-            and next_char < n
+            next_char < n
             and (text[next_char].isupper() or text[next_char].isdigit())
-            and _preceding_word(text, run.start()).lower() not in _ABBREVIATIONS
+            and not _abbreviation_before(text, run.start())
         ):
-            spans.append((cursor, after))
+            spans.append((cursor, run.end(1)))
             cursor = next_char
 
     # Whatever remains (including text with no terminator at all) is the
@@ -438,11 +450,14 @@ def _is_mark(ch: str) -> bool:
 
 
 # The token grammar, one token per match, over ASCII and the stand-ins of
-# ``_Classes``: group 1 is a word, a match without a group a run of
-# punctuation.  ``\s`` is exactly ``str.isspace``.
+# ``_Classes``: a word sets group 1 (its text after the first character),
+# a run of punctuation no group.  ``\s`` is exactly ``str.isspace``.  The
+# pattern opens with a character class, so ``re`` skips whitespace with its
+# C prefix scan; the lookbehind then tells a word's first character.
 _TOKEN = re.compile(
-    r"([A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*(?:['\x82-][A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*)*)"
-    r"|[^\sA-Za-z0-9\x81]+"
+    r"[^\s](?:"
+    r"(?<=[A-Za-z0-9\x81])([A-Za-z0-9\x80\x81]*(?:['\x82-][A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*)*)"
+    r"|[^\sA-Za-z0-9\x81]*)"
 )
 
 
@@ -881,11 +896,16 @@ class DataLines:
         return None
 
     def word(self, text: str) -> str:
-        """The matching key of a one-word entry."""
+        """The matching key of a one-word entry, which must tokenize as
+        one word."""
         key = normalize(text.strip())
+        if key.isascii() and key.isalnum():  # one word token, no scan needed
+            return key
         # Empty or holding whitespace.
         if key.split() != [key]:
             raise self.error(f"expected a single word, got {text!r}")
+        if not tokenizes_as_words(key):
+            raise self.error(f"word {key!r} can never match: it must tokenize as one word")
         return key
 
     def phrase(self, text: str, what: str) -> str:

@@ -328,6 +328,14 @@ _texts = st.one_of(st.text(alphabet=_ALPHABET, max_size=80), _prose())
 _SENTENCE_PIECES = st.sampled_from(
     list(".!?.!?\"'’”)»]" " \t\n\u00a0\u2003" "AZÉ09²aez\u0301\ufeff")
     + ["Dr.", "dr.", "e.g.", "E.g.", "i.e.", "etc.", "Mr.", " Dr. ", "...", "?!"]
+    # Four and five letters before a terminator, either side of the
+    # abbreviation guard's five-letter shortcut, and letters whose case
+    # mapping changes their length or leaves ASCII.
+    + ["Hello.", "prof.", "Prof.", "PROF.", "Inc.", "xdr.", "\u212a", "\u212a.", "İ", "İ.", "ß."]
+    # Unicode whitespace after a terminator (``\s`` must read it as
+    # ``str.isspace`` does), and a digit that is no decimal opening the
+    # next sentence.
+    + [".\u2028", ".\x85", "\u2028", "\x85", ". ²"]
 )
 _sentence_texts = st.lists(_SENTENCE_PIECES, max_size=40).map("".join)
 
@@ -384,6 +392,9 @@ def test_tokenize_equals_reference_on_mixed_ascii_and_non_ascii_chunks(text):
 @given(text=st.one_of(_sentence_texts, _texts))
 @example(text="Dr. King spoke. He left!\u201d Then 3 more.")
 @example(text="\ufeff \ufeffA. B")
+@example(text="Xprof. A")
+@example(text="abcde. B")
+@example(text='.". C')
 def test_split_sentences_equals_reference(text):
     assert split_sentences(text) == reference_split_sentences(text)
 

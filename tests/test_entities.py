@@ -325,6 +325,26 @@ def test_render_without_spans_is_identity():
     assert render_annotations(doc, []) == "Nothing to mark here."
 
 
+def test_labels_work_as_dict_keys_and_set_members():
+    # Members hash by identity; equal members are the same object.
+    names = {label: label.name for label in EntityLabel}
+    assert [names[EntityLabel(label.value)] for label in EntityLabel] == [
+        label.name for label in EntityLabel
+    ]
+    assert {EntityLabel.DATE, EntityLabel("DATE"), EntityLabel["TIME"]} == {
+        EntityLabel.TIME, EntityLabel.DATE
+    }
+    assert hash(EntityLabel.GPE) == hash(EntityLabel("GPE"))
+
+
+def test_entity_span_made_from_a_tuple_equals_one_made_by_keyword():
+    made = EntitySpan._make((4, 9, "today", EntityLabel.DATE))
+    keyword = EntitySpan(start=4, end=9, surface="today", label=EntityLabel.DATE)
+    assert made == keyword and type(made) is EntitySpan
+    assert (made.start, made.end, made.surface, made.label) == (4, 9, "today", EntityLabel.DATE)
+    assert tag_entities(build_document("t", "Not today."), GAZ) == [keyword]
+
+
 def test_render_wraps_span_in_bold_with_label():
     text = "join with you today in"
     doc = build_document("r", text)

@@ -12,6 +12,7 @@ from powertext.powerwords import (
     CategoryDistribution,
     PowerCategory,
     PowerLexicon,
+    PowerMatch,
     PowerWordHits,
     build_matcher,
     distribution,
@@ -40,6 +41,24 @@ def test_categories_are_exactly_seven_in_fixed_order():
         "Fear",
         "Forbidden",
     ]
+
+
+def test_categories_work_as_dict_keys_and_set_members():
+    # Members hash by identity; equal members are the same object.
+    counts = {category: i for i, category in enumerate(PowerCategory)}
+    assert [counts[PowerCategory(c.value)] for c in PowerCategory] == list(range(7))
+    assert PowerCategory["FEAR"] in set(PowerCategory)
+    assert {PowerCategory.FEAR, PowerCategory("Fear")} == {PowerCategory.FEAR}
+    assert hash(PowerCategory.GREED) == hash(PowerCategory("Greed"))
+
+
+def test_power_match_made_from_a_tuple_equals_one_made_by_keyword():
+    made = PowerMatch._make(("free", PowerCategory.GREED, 3, 7))
+    keyword = PowerMatch(term="free", category=PowerCategory.GREED, start=3, end=7)
+    assert made == keyword and type(made) is PowerMatch
+    assert (made.term, made.category, made.start, made.end) == ("free", PowerCategory.GREED, 3, 7)
+    hits = scan(build_document("t", "It is free."), build_matcher(lexicon_from("free,Greed\n")))
+    assert hits.matches == (PowerMatch("free", PowerCategory.GREED, 6, 10),)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def test_load_rejects_malformed_lines():
         lexicon_from("two words,0.5,0.5\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, word",
+    [
+        ("good,0.5,0.5\n'tis,0.5,0.5\n", 2, "'tis"),
+        ("good,0.5,0.5\n[modifiers]\nvery!,1.5\n", 3, "very!"),
+        ("[negators]\nnot\nnot-\n", 3, "not-"),
+    ],
+)
+def test_load_rejects_a_word_that_no_token_can_equal(text, line, word):
+    with pytest.raises(DataFileError) as err:
+        lexicon_from(text)
+    assert str(err.value) == (
+        f"<stream>:{line}: word {word!r} can never match: it must tokenize as one word"
+    )
+
+
 def test_load_rejects_nonpositive_modifier_factors():
     with pytest.raises(DataFileError):
         lexicon_from("[modifiers]\nvery,0\n")

@@ -613,6 +613,19 @@ def test_load_syllable_exceptions_keys_words_as_every_loader_does():
     assert load_syllable_exceptions(io.StringIO("every\t2\nEvery\t2\n")) == {"every": 2}
 
 
+def test_familiar_word_that_no_token_can_equal_is_an_error_naming_its_line():
+    # "'tis" tokenizes as "'" and "tis", so no word token's key is "'tis".
+    message = "^<stream>:2: word \"'tis\" can never match: it must tokenize as one word$"
+    with pytest.raises(DataFileError, match=message):
+        load_familiar_words(io.StringIO("able\n'tis\n"))
+
+
+def test_syllable_exception_that_no_token_can_equal_is_an_error_naming_its_line():
+    message = "^<stream>:3: word 'u.s.' can never match: it must tokenize as one word$"
+    with pytest.raises(DataFileError, match=message):
+        load_syllable_exceptions(io.StringIO("business\t2\n# c\nU.S.\t2\n"))
+
+
 def test_data_file_that_is_not_utf8_is_an_error_naming_it(tmp_path):
     path = tmp_path / "familiar.txt"
     path.write_bytes(b"caf\xe9\n")
