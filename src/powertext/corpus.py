@@ -16,7 +16,6 @@ keep the reports themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import fsum
 from pathlib import Path
@@ -205,16 +204,14 @@ def strip_html(html: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     path: Path
     doc_id: str
     genre: str
     kind: str
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     entries: tuple[ManifestEntry, ...]
 
 
@@ -285,8 +282,7 @@ def load_manifest(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusDocument:
+class CorpusDocument(NamedTuple):
     """A cleaned, tokenized corpus file with its genre and any
     cleaning warnings."""
 
@@ -354,8 +350,7 @@ def _load_entry(entry: ManifestEntry) -> CorpusDocument:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenreAggregate:
+class GenreAggregate(NamedTuple):
     """Arithmetic means of every per-document metric within one genre.
 
     Sections that were disabled for all of the genre's reports are None.

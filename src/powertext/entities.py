@@ -20,12 +20,11 @@ every token.  The gazetteer file is read by ``textcore.DataLines``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple, Sequence
 
 from .candidates import CandidateIndex, StartWords
-from .textcore import DataLines, Document, PhraseMatcher, is_number_key
+from .textcore import DataLines, Document, PhraseMatcher, Record, is_number_key
 
 __all__ = [
     "EntityLabel",
@@ -77,22 +76,26 @@ class EntitySpan(NamedTuple):
     label: EntityLabel
 
 
-@dataclass(frozen=True)
-class Gazetteer:
+class Gazetteer(Record):
     """Normalized surface form -> label lookups for the curated labels.
 
     The surfaces are compiled once, at construction, into a
     ``PhraseMatcher``.  ``start_words`` holds every key but a number token
     at which the tagger's passes can start a match: the first words of the
-    surfaces and of the fixed phrases, and the date start words.
+    surfaces and of the fixed phrases, and the date start words.  Only
+    ``entries`` is a field: equality, hash and ``repr`` ignore the
+    derived two.
     """
 
-    entries: Mapping[str, EntityLabel]
-    _matcher: PhraseMatcher = field(init=False, repr=False, compare=False)
-    start_words: frozenset[str] = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        matcher = PhraseMatcher(self.entries)
+    entries: Mapping[str, EntityLabel]
+    _matcher: PhraseMatcher
+    start_words: frozenset[str]
+
+    def __init__(self, entries: Mapping[str, EntityLabel]) -> None:
+        Record.__init__(self, entries)
+        matcher = PhraseMatcher(entries)
         object.__setattr__(self, "_matcher", matcher)
         starts = _DATE_START_WORDS.union(matcher.first_words, _FIXED_PHRASES.first_words)
         object.__setattr__(self, "start_words", starts)

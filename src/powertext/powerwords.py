@@ -13,13 +13,12 @@ the lexicon file is read by ``textcore.DataLines``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple
 
 from .errors import DataFileError
 from .candidates import CandidateIndex
-from .textcore import DataLines, Document, PhraseMatcher
+from .textcore import DataLines, Document, PhraseMatcher, Record
 
 __all__ = [
     "PowerCategory",
@@ -60,13 +59,22 @@ class PowerCategory(enum.Enum):
 _CATEGORY_BY_NAME = {category.value: category for category in PowerCategory}
 
 
-@dataclass(frozen=True)
-class PowerLexicon:
+class PowerLexicon(Record):
     """Immutable term -> category table plus provenance strings."""
 
+    _fields = ("entries", "version", "source")
+
     entries: Mapping[str, PowerCategory]
-    version: str = "unversioned"
-    source: str = "<unknown>"
+    version: str
+    source: str
+
+    def __init__(
+        self,
+        entries: Mapping[str, PowerCategory],
+        version: str = "unversioned",
+        source: str = "<unknown>",
+    ) -> None:
+        Record.__init__(self, entries, version, source)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -82,8 +90,7 @@ class PowerMatch(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class PowerWordHits:
+class PowerWordHits(NamedTuple):
     """Scan result: per-category counts and the ordered match list."""
 
     counts: Mapping[PowerCategory, int]
@@ -94,12 +101,16 @@ class PowerWordHits:
         return sum(self.counts.values())
 
 
-@dataclass(frozen=True)
-class CategoryDistribution:
+class CategoryDistribution(Record):
     """Per-category percentage share of all hits (0-100 each)."""
+
+    _fields = ("percentages", "empty")
 
     percentages: Mapping[PowerCategory, float]
     empty: bool
+
+    def __init__(self, percentages: Mapping[PowerCategory, float], empty: bool) -> None:
+        Record.__init__(self, percentages, empty)
 
     def __getitem__(self, category: PowerCategory) -> float:
         return self.percentages[category]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputTextError
@@ -208,8 +207,7 @@ def text_standard(grades: Sequence[float]) -> str:
     return f"{_ordinal(winner)} and {_ordinal(winner + 1)} grade"
 
 
-@dataclass(frozen=True)
-class ReadabilityReport:
+class ReadabilityReport(NamedTuple):
     """All readability results for one document, unrounded."""
 
     flesch_reading_ease: float

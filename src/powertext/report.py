@@ -21,10 +21,9 @@ text.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import GenreAggregate
 from .defaults import (
@@ -52,6 +51,7 @@ from .candidates import CandidateIndex, StartWords
 from .textcore import (
     Document,
     PhraseMatcher,
+    Record,
     TextStats,
     WordTable,
     compute_stats,
@@ -94,33 +94,49 @@ WARN_SMOG_LOW_SAMPLE = "smog-low-sample"
 WARN_EMPTY_DISTRIBUTION = "power-distribution-empty"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """What to analyze and with which data files.
 
     ``None`` paths fall back to the packaged data files (see defaults).
-    ``sections`` must be a non-empty subset of ALL_SECTIONS.
+    ``sections`` must be a non-empty collection of names from
+    ALL_SECTIONS, not a string; it is stored as a ``frozenset``.
     """
 
-    lexicon_path: Path | None = None
-    sentiment_path: Path | None = None
-    familiar_path: Path | None = None
-    gazetteer_path: Path | None = None
-    sections: frozenset[str] = frozenset(ALL_SECTIONS)
+    _fields = ("lexicon_path", "sentiment_path", "familiar_path", "gazetteer_path", "sections")
 
-    def __post_init__(self) -> None:
-        if not self.sections:
+    lexicon_path: Path | None
+    sentiment_path: Path | None
+    familiar_path: Path | None
+    gazetteer_path: Path | None
+    sections: frozenset[str]
+
+    def __init__(
+        self,
+        lexicon_path: Path | None = None,
+        sentiment_path: Path | None = None,
+        familiar_path: Path | None = None,
+        gazetteer_path: Path | None = None,
+        sections: Iterable[str] = frozenset(ALL_SECTIONS),
+    ) -> None:
+        if isinstance(sections, str):
+            raise TypeError(
+                f"sections must be a collection of section names, not the string {sections!r}"
+            )
+        sections = frozenset(sections)
+        if not sections:
             raise ValueError("at least one analysis section must be enabled")
-        unknown = set(self.sections) - set(ALL_SECTIONS)
+        unknown = sections.difference(ALL_SECTIONS)
         if unknown:
             raise ValueError(
                 f"unknown sections: {', '.join(sorted(unknown))} "
                 f"(expected a subset of {', '.join(ALL_SECTIONS)})"
             )
+        Record.__init__(
+            self, lexicon_path, sentiment_path, familiar_path, gazetteer_path, sections
+        )
 
 
-@dataclass(frozen=True)
-class Resources:
+class Resources(Record):
     """Loaded data files for the enabled sections.
 
     The familiar-word list and syllable exceptions are always loaded —
@@ -134,10 +150,21 @@ class Resources:
     ``CandidateIndex``.
     """
 
+    _fields = ("word_table", "matcher", "sentiment_lexicon", "gazetteer")
+
     word_table: WordTable
-    matcher: PhraseMatcher | None = None
-    sentiment_lexicon: SentimentLexicon | None = None
-    gazetteer: Gazetteer | None = None
+    matcher: PhraseMatcher | None
+    sentiment_lexicon: SentimentLexicon | None
+    gazetteer: Gazetteer | None
+
+    def __init__(
+        self,
+        word_table: WordTable,
+        matcher: PhraseMatcher | None = None,
+        sentiment_lexicon: SentimentLexicon | None = None,
+        gazetteer: Gazetteer | None = None,
+    ) -> None:
+        Record.__init__(self, word_table, matcher, sentiment_lexicon, gazetteer)
 
     @cached_property
     def start_words(self) -> StartWords:
@@ -186,8 +213,7 @@ def load_resources(config: AnalysisConfig) -> Resources:
     )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the enabled sections produced for one document.
 
     ``sections`` names the sections that ran; the others' fields are

@@ -14,7 +14,6 @@ lexicon file is read by ``textcore.DataLines``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, isfinite
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple, Sequence
@@ -41,8 +40,7 @@ class SentimentEntry(NamedTuple):
     subjectivity: float
 
 
-@dataclass(frozen=True)
-class SentimentLexicon:
+class SentimentLexicon(NamedTuple):
     """Scored terms plus intensity modifiers and negators.
 
     All keys are normalized single words; modifiers scale a following
@@ -54,8 +52,7 @@ class SentimentLexicon:
     negators: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SentimentScore:
+class SentimentScore(NamedTuple):
     """Document-level sentiment: zero matches means exact neutrality."""
 
     polarity: float

@@ -69,11 +69,10 @@ import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .candidates import CandidateIndex, StartWords
 from .errors import DataFileError, InputTextError
@@ -123,33 +122,91 @@ _VOWEL_RUN = re.compile("[aeiouy]+")
 
 
 # ---------------------------------------------------------------------------
-# Core dataclasses
+# Core records
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Token:
+class Record:
+    """Base of the immutable value classes that carry behaviour a
+    ``NamedTuple`` cannot: argument checks, cached or derived
+    attributes, ``len`` or lookup by key.  The plain records are
+    ``NamedTuple``s.
+
+    A subclass names its constructor arguments in ``_fields``, in order,
+    and its ``__init__`` stores them in the instance dict with
+    ``Record.__init__``; a subclass with ``__slots__``, like ``Token``,
+    stores its own.  Instances compare equal and hash by class and
+    fields, print as ``Name(field=value, ...)``, refuse assignment and
+    deletion, and pickle and copy by calling the constructor with their
+    fields, so that derived attributes are derived again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Token(Record):
     """One token of the original text.
 
     ``text`` is the exact substring ``raw[start:end]``; ``is_word`` marks
     tokens containing at least one letter or digit (punctuation runs are
     kept as non-word tokens so the token stream can reproduce the input).
 
-    A value class: tokens compare and hash by their four fields and must
-    not be modified after construction (it is not frozen, since frozen
-    construction is slower and a document iterates many tokens).  A
+    A value class: tokens compare and hash by their four fields.  A
     document stores no ``Token``: its ``Tokens`` builds one each time it
-    is indexed or iterated.
+    is indexed or iterated, and the pipeline reads the columns instead.
     """
+
+    __slots__ = ("text", "start", "end", "is_word")
+    _fields = __slots__
 
     text: str
     start: int
     end: int
     is_word: bool
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(f"token span must be non-empty: [{self.start}, {self.end})")
+    def __init__(self, text: str, start: int, end: int, is_word: bool) -> None:
+        if end <= start:
+            raise ValueError(f"token span must be non-empty: [{start}, {end})")
+        _set_text(self, text)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_is_word(self, is_word)
+
+
+# The setters of the slots, which ``Token.__setattr__`` refuses to reach.
+# Iterating a document's tokens builds one ``Token`` each, and a call to a
+# setter takes less than half as long as ``object.__setattr__`` by name.
+_set_text, _set_start, _set_end, _set_is_word = [
+    vars(Token)[name].__set__ for name in Token._fields
+]
 
 
 class Tokens(Sequence[Token]):
@@ -209,8 +266,7 @@ class Tokens(Sequence[Token]):
         return f"Tokens({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class TextStats:
+class TextStats(NamedTuple):
     """Surface counts for a document, the raw material of readability."""
 
     word_count: int
@@ -223,8 +279,7 @@ class TextStats:
     difficult_word_count: int
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Record):
     """A parsed text: raw string, sentence spans, and tokens.
 
     Sentence spans are ``(start, end)`` offsets into ``raw``; tokens are
@@ -234,10 +289,17 @@ class Document:
     ``Token`` objects are built only when it is indexed or iterated.
     """
 
+    _fields = ("doc_id", "raw", "sentences", "tokens")
+
     doc_id: str
     raw: str
     sentences: tuple[tuple[int, int], ...]
     tokens: Tokens
+
+    def __init__(
+        self, doc_id: str, raw: str, sentences: tuple[tuple[int, int], ...], tokens: Tokens
+    ) -> None:
+        Record.__init__(self, doc_id, raw, sentences, tokens)
 
     @cached_property
     def keys(self) -> tuple[str | None, ...]:

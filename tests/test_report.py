@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -43,7 +42,7 @@ from powertext.report import (
     render_structured,
 )
 from powertext.sentiment import SentimentScore, analyze_sentiment, load_sentiment_lexicon
-from powertext.textcore import TextStats, WordTable, build_document, compute_stats
+from powertext.textcore import Document, TextStats, WordTable, build_document, compute_stats
 
 # ---------------------------------------------------------------------------
 # In-memory data files for composition tests
@@ -96,6 +95,33 @@ def test_config_rejects_empty_sections():
 def test_config_rejects_unknown_section():
     with pytest.raises(ValueError, match="astrology"):
         AnalysisConfig(sections=frozenset({"readability", "astrology"}))
+
+
+@pytest.mark.parametrize(
+    "sections",
+    [["power", "sentiment"], ("power", "sentiment"), {"power", "sentiment"}],
+    ids=["list", "tuple", "set"],
+)
+def test_config_keeps_any_collection_of_sections_as_a_frozenset(sections):
+    config = AnalysisConfig(sections=sections)
+    assert type(config.sections) is frozenset
+    assert config.sections == {"power", "sentiment"}
+    assert hash(config) == hash(AnalysisConfig(sections=frozenset(sections)))
+    report = analyze(build_document("d", SAMPLE_TEXT), config, resources=make_resources())
+    assert report.sections == {"power", "sentiment"}
+    assert report.power is not None and report.readability is None
+
+
+def test_config_sections_do_not_follow_the_set_passed_in():
+    sections = {"power"}
+    config = AnalysisConfig(sections=sections)
+    sections.add("astrology")
+    assert config.sections == {"power"}
+
+
+def test_config_refuses_a_bare_string_naming_it():
+    with pytest.raises(TypeError, match="not the string 'power'"):
+        AnalysisConfig(sections="power")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +292,9 @@ def test_import_and_load_resources_leave_unused_modules_unloaded():
     # Standard-library modules that the import and ``load_resources`` have
     # no use for; ``html.parser`` is imported by the first ``strip_html``.
     # ``-S``: a site-packages ``.pth`` file may import modules of its own.
-    unused = ("statistics", "html.parser", "json", "importlib.resources")
+    unused = (
+        "statistics", "html.parser", "json", "importlib.resources", "dataclasses", "inspect",
+    )
     code = (
         "import sys, powertext\n"
         "powertext.load_resources(powertext.AnalysisConfig())\n"
@@ -598,7 +626,7 @@ def test_markdown_rounds_a_tiny_negative_polarity_to_zero_as_structured_does():
     assert "- Polarity: 0.00" in text
     assert "-0.00" not in text
     (agg,) = aggregate([(make_agg_report(0.2, 70.0), "speech")])
-    tiny = dataclasses.replace(agg, mean_polarity=-1e-16, mean_subjectivity=-1e-16)
+    tiny = agg._replace(mean_polarity=-1e-16, mean_subjectivity=-1e-16)
     corpus_text = render_corpus_markdown([tiny])
     assert "- Mean polarity: 0.00" in corpus_text
     assert "- Mean subjectivity: 0.00" in corpus_text
@@ -911,7 +939,7 @@ def _per_category(values):
 
 _reports = st.builds(
     AnalysisReport,
-    document=_texts.map(lambda doc_id: dataclasses.replace(_DOC, doc_id=doc_id)),
+    document=_texts.map(lambda doc_id: Document(doc_id, _DOC.raw, _DOC.sentences, _DOC.tokens)),
     stats=st.builds(TextStats, *[_ints] * 8),
     sections=st.frozensets(st.sampled_from(ALL_SECTIONS)),
     readability=st.none()
@@ -967,8 +995,7 @@ _NO_HITS = PowerWordHits(counts={category: 0 for category in PowerCategory}, mat
 )
 @example(
     report=make_render_report(
-        power=dataclasses.replace(
-            _NO_HITS,
+        power=_NO_HITS._replace(
             matches=(
                 PowerMatch("},\n{", PowerCategory.FEAR, 0, 4),
                 PowerMatch("\u2028", PowerCategory.LUST, 5, 6),
