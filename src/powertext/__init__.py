@@ -4,21 +4,12 @@ Detects categorized "power words" in text, scores readability with seven
 classic indices, estimates lexicon-based sentiment, tags dates, times,
 numbers, and gazetteer entities, ingests small corpora, and aggregates
 results per genre.
+
+The corpus names (``load_manifest``, ``aggregate`` and the rest) load
+``powertext.corpus`` when one of them is first used: neither the
+import, nor ``load_resources``, nor ``powertext analyze`` needs it.
 """
 
-from .corpus import (
-    CorpusDocument,
-    CorpusManifest,
-    GenreAggregate,
-    GutenbergText,
-    ManifestEntry,
-    aggregate,
-    iter_corpus,
-    load_corpus,
-    load_manifest,
-    strip_gutenberg_boilerplate,
-    strip_html,
-)
 from .entities import (
     EntityLabel,
     EntitySpan,
@@ -170,3 +161,22 @@ __all__ = [
     "render_markdown",
     "render_corpus_markdown",
 ]
+
+# The ``# corpus`` block of ``__all__``: names that ``__getattr__`` binds
+# from ``powertext.corpus`` when the first of them is used.
+_CORPUS_NAMES = frozenset(__all__[__all__.index("GutenbergText") : __all__.index("aggregate") + 1])
+
+
+def __getattr__(name: str):
+    if name != "corpus" and name not in _CORPUS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Loading the submodule binds it here as ``corpus``.  (``from . import
+    # corpus`` would first ask this function for ``corpus``, and recurse.)
+    from .corpus import __dict__ as corpus_names
+
+    globals().update((key, corpus_names[key]) for key in _CORPUS_NAMES)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _CORPUS_NAMES | {"corpus"})

@@ -28,10 +28,9 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
-from .corpus import SUMMARY_ID, GenreAggregate, aggregate, iter_corpus, load_manifest
 from .defaults import (
     ENV_DATA_DIR,
     FAMILIAR_WORDS_FILE,
@@ -54,6 +53,9 @@ from .report import (
 )
 from .sentiment import SentimentScore
 from .textcore import build_document
+
+if TYPE_CHECKING:  # ``_cmd_corpus`` loads the corpus layer; ``analyze`` never does
+    from .corpus import GenreAggregate
 
 __all__ = ["main", "build_parser"]
 
@@ -228,6 +230,8 @@ class _AggregateRow(NamedTuple):
 
 
 def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
+    from .corpus import SUMMARY_ID, aggregate, iter_corpus, load_manifest
+
     manifest = load_manifest(args.manifest)
     resources = load_resources(config)
     documents = iter_corpus(manifest)  # checks every file before any read

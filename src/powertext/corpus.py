@@ -16,6 +16,7 @@ keep the reports themselves.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from math import fsum
 from pathlib import Path
@@ -52,6 +53,7 @@ SOURCE_KINDS = ("gutenberg", "html", "plain")
 
 _START_MARKER = "*** START OF"
 _END_MARKER = "*** END OF"
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 WARN_MISSING_MARKERS = "gutenberg-markers-missing"
 
@@ -74,29 +76,30 @@ class GutenbergText(NamedTuple):
 
 def strip_gutenberg_boilerplate(text: str) -> GutenbergText:
     """Content strictly between the first ``*** START OF`` line and the
-    first subsequent ``*** END OF`` line.
+    first subsequent ``*** END OF`` line, as a slice of ``text``.
 
-    Without markers the input comes back unchanged, flagged so callers
-    can warn.  A START line without a later END line is an error — that
-    means the file was truncated mid-license and cannot be trusted.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as for every data file; a
+    form feed or another character ``str.splitlines`` also breaks at is
+    part of its line.  Without markers the input comes back unchanged,
+    flagged so callers can warn.  A START line without a later END line
+    is an error — that means the file was truncated mid-license and
+    cannot be trusted.
     """
-    lines = text.splitlines(keepends=True)
-    start_index = None
-    for index, line in enumerate(lines):
-        if _START_MARKER in line:
-            start_index = index
-            break
-    if start_index is None:
+    start = text.find(_START_MARKER)
+    if start < 0:
         return GutenbergText(text=text, markers_missing=True)
-
-    for index in range(start_index + 1, len(lines)):
-        if _END_MARKER in lines[index]:
-            return GutenbergText(
-                text="".join(lines[start_index + 1 : index]), markers_missing=False
-            )
-    raise InputTextError(
-        f"found {_START_MARKER!r} line but no subsequent {_END_MARKER!r} line"
+    line_break = _LINE_BREAK.search(text, start)
+    body_start = line_break.end() if line_break else len(text)
+    end = text.find(_END_MARKER, body_start)
+    if end < 0:
+        raise InputTextError(
+            f"found {_START_MARKER!r} line but no subsequent {_END_MARKER!r} line"
+        )
+    # The END line starts after the last line break before its marker.
+    body_end = max(
+        body_start, text.rfind("\n", body_start, end) + 1, text.rfind("\r", body_start, end) + 1
     )
+    return GutenbergText(text=text[body_start:body_end], markers_missing=False)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import GenreAggregate
 from .defaults import (
     FAMILIAR_WORDS_FILE,
     GAZETTEER_FILE,
@@ -58,6 +57,9 @@ from .textcore import (
     load_familiar_words,
     load_syllable_exceptions,
 )
+
+if TYPE_CHECKING:  # loaded by the first corpus call, never by this module
+    from .corpus import GenreAggregate
 
 __all__ = [
     "ALL_SECTIONS",

@@ -27,11 +27,12 @@ text.  ``tokenize`` fills the columns from one regex scan, whose pattern
 is the whole token grammar: a text that is not ASCII is scanned through
 a translation that gives each non-ASCII character a one-character
 stand-in for its class (letter or digit, combining mark, ``’``,
-whitespace, other).  ``split_sentences`` visits only the runs of
-sentence terminators that whitespace follows.  Both patterns open with a
-character class, so the regex engine skips to each match with its C
-prefix scan; one that opens with a group, a branch of groups or a repeat
-gets none, and tries a whole match at every position it passes.
+whitespace, other), run by run where such characters are sparse.
+``split_sentences`` visits only the runs of sentence terminators that
+whitespace follows.  Both patterns open with a character class, so the
+regex engine skips to each match with its C prefix scan; one that opens
+with a group, a branch of groups or a repeat gets none, and tries a
+whole match at every position it passes.
 
 Text work is done once and shared.  A ``WordTable`` is a run's type
 table: for each distinct word text it normalizes the text once and keeps
@@ -402,7 +403,7 @@ class PhraseMatcher:
 def tokenizes_as_words(phrase: str) -> bool:
     """Whether each space-separated word of ``phrase`` tokenizes to exactly
     one word token (a byte-order mark is none); else it can never match."""
-    subject = phrase if phrase.isascii() else phrase.translate(_Classes())
+    subject = phrase if phrase.isascii() else _with_stand_ins(phrase)
     return all(
         (match := _TOKEN.fullmatch(word)) and match.lastindex for word in subject.split(" ")
     )
@@ -528,7 +529,7 @@ class _Classes(dict):
     character the one-character Latin-1 stand-in of its class: U+0081 a
     letter or digit, U+0080 a combining mark, U+0082 the apostrophe ``’``,
     a space whitespace, and U+0083 anything else (U+0080 to U+0083
-    themselves included).  Filled one code point at a time; ``tokenize``
+    themselves included).  Filled one code point at a time; ``_with_stand_ins``
     makes one per call, so no table outlives the text it read."""
 
     __slots__ = ()
@@ -547,6 +548,24 @@ class _Classes(dict):
             stand_in = "\x80" if _is_mark(ch) else "\x83"
         self[code] = stand_in
         return stand_in
+
+
+# Text with fewer than one non-ASCII character in this many is given its
+# stand-ins run by run.  ``str.translate`` costs about 40 ns for every
+# character of the text; ``re.sub`` skips ASCII in C at about 11 ns a
+# character but pays 0.5 to 0.75 us per non-ASCII run, so on the sample
+# corpus the two break even at one such character in 15 to 30.
+_SPARSE = 20
+_NON_ASCII = re.compile(r"[^\x00-\x7f]+")
+
+
+def _with_stand_ins(text: str) -> str:
+    """A copy of ``text`` with every non-ASCII character replaced by its
+    ``_Classes`` stand-in: what the regex engine scans of such text."""
+    table = _Classes()
+    if (len(text) - len(text.encode("ascii", "ignore"))) * _SPARSE < len(text):
+        return _NON_ASCII.sub(lambda run: run[0].translate(table), text)
+    return text.translate(table)
 
 
 # Matches read per batch: each batch fills the columns in C-level loops.
@@ -568,9 +587,10 @@ def tokenize(text: str) -> Tokens:
     whitespace between them reproduces the rest of the input exactly.
 
     The regex engine finds every token: text that is not ASCII is first
-    translated, character for character, into ASCII and the stand-ins of
-    its characters' classes, and a token text that is not ASCII there is
-    cut from ``text`` again.  Equal token texts are one string object.
+    translated, character for character (or, where such characters are
+    sparse, run by run), into ASCII and the stand-ins of its characters'
+    classes, and a token text that is not ASCII there is cut from ``text``
+    again.  Equal token texts are one string object.
     """
     tokens = Tokens()
     # The first string of each distinct text, which every later equal
@@ -579,7 +599,7 @@ def tokenize(text: str) -> Tokens:
     # process (its strings are immortal from CPython 3.12).
     seen: dict[str, str] = {}
     share = seen.setdefault
-    subject = text if text.isascii() else text.translate(_Classes())
+    subject = text if text.isascii() else _with_stand_ins(text)
     matches = _TOKEN.finditer(subject, 1 if text.startswith(_BOM) else 0)
     while batch := list(islice(matches, _BATCH)):
         texts = list(map(re.Match.group, batch))

@@ -13,9 +13,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import powertext
 from powertext.cli import main
 from powertext.corpus import load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, ENV_DATA_DIR, data_path
@@ -524,6 +526,24 @@ def _corpus_peak_bytes(tmp_path, copies: int) -> int:
         tracemalloc.stop()
     assert status == 0
     return peak
+
+
+@pytest.mark.parametrize(
+    ("command", "loads_corpus"), [("analyze", False), ("corpus", True)]
+)
+def test_only_the_corpus_command_loads_the_corpus_layer(command, loads_corpus):
+    # ``-X importtime`` writes one standard-error line per module the run
+    # imports, those imported inside a function included.
+    target = data_path(CORPUS_MANIFEST_FILE if loads_corpus else "corpus/gettysburg.txt")
+    env = dict(os.environ, PYTHONPATH=str(Path(powertext.__file__).resolve().parent.parent))
+    env.pop("POWERTEXT_DATA", None)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "powertext", command, str(target)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "powertext.cli" in imported
+    assert ("powertext.corpus" in imported) is loads_corpus
 
 
 def test_corpus_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):

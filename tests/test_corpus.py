@@ -106,6 +106,43 @@ def test_markers_inside_lines_count():
     assert strip_gutenberg_boilerplate(text).text == "body\n"
 
 
+# Characters that ``str.splitlines`` breaks a line at but ``open()`` does not.
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=repr)
+def test_a_start_line_ends_where_open_ends_it(char):
+    text = (
+        "Header\n"
+        f"*** START OF THE PROJECT GUTENBERG EBOOK{char}ALICE ***\n"
+        "Body text here.\n"
+        "*** END OF THE PROJECT GUTENBERG EBOOK ALICE ***\n"
+        "License\n"
+    )
+    assert strip_gutenberg_boilerplate(text).text == "Body text here.\n"
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=repr)
+def test_an_end_line_starts_where_open_starts_it(char):
+    # The last body line and the END marker are one line.
+    text = (
+        "*** START OF THE EBOOK ***\r\n"
+        "Body text here.\r\n"
+        f"Last words{char}*** END OF THE EBOOK ***\r\n"
+        "License\r\n"
+    )
+    assert strip_gutenberg_boilerplate(text).text == "Body text here.\r\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_cleaned_text_is_a_slice_of_the_input(newline):
+    lines = ["h", "*** START OF X ***", "one\f", "", "two\u2028three", "*** END OF X ***", "l"]
+    text = newline.join(lines)
+    cleaned = strip_gutenberg_boilerplate(text).text
+    assert cleaned == newline.join(lines[2:5]) + newline
+    assert text.index(cleaned) + len(cleaned) == text.index("*** END")
+
+
 # ---------------------------------------------------------------------------
 # HTML stripping
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from powertext.sentiment import (
     SentimentScore,
     analyze_sentiment,
 )
+from powertext import textcore
 from powertext.candidates import CandidateIndex, StartWords
 from powertext.textcore import (
     Document,
@@ -385,6 +386,24 @@ def test_tokenize_equals_reference_on_any_unicode(text):
 @example(text="\ufeff\ufeff,² x")
 @example(text="it’s 1½ m² — ok")
 def test_tokenize_equals_reference_on_mixed_ascii_and_non_ascii_chunks(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mixed_texts.filter(lambda text: not text.isascii()), sparse=st.booleans())
+@example(text="\ufeff,²", sparse=True)
+@example(text="it’s 1½ m² — ok", sparse=True)
+@example(text="it’s 1½ m² — ok", sparse=False)
+def test_tokenize_equals_reference_either_side_of_the_sparse_threshold(text, sparse):
+    # ASCII words appended make the non-ASCII characters sparse, so that
+    # they are given their stand-ins run by run; accented letters make
+    # them dense, so that the whole text is translated.
+    if sparse:
+        text += " a" * (len(text) * textcore._SPARSE)
+    else:
+        text += " " + "\u00e9" * len(text)
+    non_ascii = len(text) - len(text.encode("ascii", "ignore"))
+    assert (non_ascii * textcore._SPARSE < len(text)) is sparse
     assert tokenize(text) == reference_tokenize(text)
 
 

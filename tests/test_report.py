@@ -289,11 +289,13 @@ def test_load_resources_tolerates_missing_exceptions_file(tmp_path, monkeypatch)
 
 
 def test_import_and_load_resources_leave_unused_modules_unloaded():
-    # Standard-library modules that the import and ``load_resources`` have
-    # no use for; ``html.parser`` is imported by the first ``strip_html``.
-    # ``-S``: a site-packages ``.pth`` file may import modules of its own.
+    # Modules that the import and ``load_resources`` have no use for;
+    # ``powertext.corpus`` and ``html.parser`` are imported by the first
+    # ``strip_html``.  ``-S``: a site-packages ``.pth`` file may import
+    # modules of its own.
     unused = (
         "statistics", "html.parser", "json", "importlib.resources", "dataclasses", "inspect",
+        "powertext.corpus",
     )
     code = (
         "import sys, powertext\n"
@@ -308,6 +310,31 @@ def test_import_and_load_resources_leave_unused_modules_unloaded():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert proc.stdout.splitlines() == ["[]", "'a & b' True"]
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    # The corpus names are bound on first use; ``dir`` lists them before
+    # that, and every import form finds them, as ``powertext.corpus`` holds them.
+    code = (
+        "import sys, powertext\n"
+        "listed = set(dir(powertext))\n"
+        "namespace = {}\n"
+        "exec('from powertext import *', namespace)\n"
+        "from powertext import load_manifest\n"
+        "import powertext.corpus as corpus\n"
+        "names = powertext.__all__\n"
+        "print(sorted(set(names) - listed))\n"
+        "print([name for name in names if namespace[name] is not getattr(powertext, name)])\n"
+        "shared = [name for name in corpus.__all__ if name in names]\n"
+        "print(len(shared), [name for name in shared if getattr(powertext, name) is not getattr(corpus, name)])\n"
+        "print(load_manifest is corpus.load_manifest, hasattr(powertext, 'no_such_name'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(powertext.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "[]", "11 []", "True False"]
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,23 @@ def test_one_long_word_is_analysed_in_linear_time(unit):
     assert large < MAX_LONG_WORD_SECONDS
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "one curly apostrophe, it’s" + " plain words" * 200,
+        "\ufeffa leading mark" + " and words" * 100,
+        # Exactly one non-ASCII character in ``_SPARSE``: translated whole.
+        "\u00e9" + "x" * (textcore._SPARSE - 1),
+        "\u00e9" + "x" * textcore._SPARSE,
+        unicodedata.normalize("NFD", "caf\u00e9 na\u00efve \u2014 r\u00e9sum\u00e9"),
+        "\u2028\x85 \ud800\x80\x81\x82\x83 \U0001d7d8a",
+    ],
+    ids=["sparse", "bom", "at-threshold", "below-threshold", "dense", "classes"],
+)
+def test_stand_ins_equal_the_whole_text_translated(text):
+    assert textcore._with_stand_ins(text) == text.translate(textcore._Classes())
+
+
 MAX_NFD_COST_RATIO = 2.75
 
 
