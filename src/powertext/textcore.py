@@ -18,21 +18,23 @@ are deliberately small, explicit, and heavily tested:
 
 A document's tokens are columns, not objects: ``Tokens`` keeps the token
 texts, start offsets and word flags in a list, an ``array('q')`` and a
-``bytearray``, and builds a ``Token`` only when it is indexed or
-iterated; the pipeline reads the columns.  A token's end offset is its
-start plus the length of its text, so it is computed where it is needed,
-never stored.  Equal token texts of one document are one string object,
-so the text column costs a pointer per token and one string per distinct
+``bytearray``, and builds ``Token`` records only when it is iterated;
+the pipeline reads the columns.  A token's end offset is its start plus
+the length of its text, so it is computed where it is needed, never
+stored.  Equal token texts of one document are one string object, so
+the text column costs a pointer per token and one string per distinct
 text.  ``tokenize`` fills the columns from one regex scan, whose pattern
 is the whole token grammar: a text that is not ASCII is scanned through
 a translation that gives each non-ASCII character a one-character
 stand-in for its class (letter or digit, combining mark, ``’``,
 whitespace, other), run by run where such characters are sparse.
 ``split_sentences`` visits only the runs of sentence terminators that
-whitespace follows.  Both patterns open with a character class, so the
-regex engine skips to each match with its C prefix scan; one that opens
-with a group, a branch of groups or a repeat gets none, and tries a
-whole match at every position it passes.
+whitespace follows; a match can start only at the first terminator of a
+run, so a run that no whitespace follows is read once.  Both patterns
+open with a character class, so the regex engine skips to each match
+with its C prefix scan; one that opens with a group, a branch of groups
+or a repeat gets none, and tries a whole match at every position it
+passes.
 
 Text work is done once and shared.  A ``WordTable`` is a run's type
 table: for each distinct word text it normalizes the text once and keeps
@@ -104,10 +106,13 @@ _BOM = "\ufeff"
 # A sentence-break candidate: a run of terminators and the closing marks
 # allowed to trail it (group 1), and the whitespace after it.  It opens
 # with a character class, not a repeat, so ``re`` skips to each terminator
-# with its C prefix scan.  A match cannot start at a closer, and one that
-# starts inside a run ends where the run does: the matches are exactly
-# the runs whitespace follows.  ``\s`` is exactly ``str.isspace``.
-_BREAK = re.compile(r"""([.!?][.!?]*["'’”)»\]]*)\s+""")
+# with its C prefix scan.  A match cannot start at a closer, and the
+# lookbehind lets it start only at the first terminator of a run: an
+# attempt at every later one would read to the run's end again, which
+# costs time quadratic in a run that no whitespace follows.  The matches
+# are exactly the runs whitespace follows.  ``\s`` is exactly
+# ``str.isspace``.
+_BREAK = re.compile(r"""([.!?](?<![.!?][.!?])[.!?]*["'’”)»\]]*)\s+""")
 # Leading whitespace.
 _SPACE_RUN = re.compile(r"\s*")
 
@@ -135,8 +140,7 @@ class Record:
 
     A subclass names its constructor arguments in ``_fields``, in order,
     and its ``__init__`` stores them in the instance dict with
-    ``Record.__init__``; a subclass with ``__slots__``, like ``Token``,
-    stores its own.  Instances compare equal and hash by class and
+    ``Record.__init__``.  Instances compare equal and hash by class and
     fields, print as ``Name(field=value, ...)``, refuse assignment and
     deletion, and pickle and copy by calling the constructor with their
     fields, so that derived attributes are derived again.
@@ -173,44 +177,23 @@ class Record:
         return self.__class__, self._values()
 
 
-class Token(Record):
+class Token(NamedTuple):
     """One token of the original text.
 
     ``text`` is the exact substring ``raw[start:end]``; ``is_word`` marks
     tokens containing at least one letter or digit (punctuation runs are
     kept as non-word tokens so the token stream can reproduce the input).
-
-    A value class: tokens compare and hash by their four fields.  A
-    document stores no ``Token``: its ``Tokens`` builds one each time it
-    is indexed or iterated, and the pipeline reads the columns instead.
+    A document stores no ``Token``: its ``Tokens`` builds one per token
+    when it is iterated, and the pipeline reads the columns instead.
     """
-
-    __slots__ = ("text", "start", "end", "is_word")
-    _fields = __slots__
 
     text: str
     start: int
     end: int
     is_word: bool
 
-    def __init__(self, text: str, start: int, end: int, is_word: bool) -> None:
-        if end <= start:
-            raise ValueError(f"token span must be non-empty: [{start}, {end})")
-        _set_text(self, text)
-        _set_start(self, start)
-        _set_end(self, end)
-        _set_is_word(self, is_word)
 
-
-# The setters of the slots, which ``Token.__setattr__`` refuses to reach.
-# Iterating a document's tokens builds one ``Token`` each, and a call to a
-# setter takes less than half as long as ``object.__setattr__`` by name.
-_set_text, _set_start, _set_end, _set_is_word = [
-    vars(Token)[name].__set__ for name in Token._fields
-]
-
-
-class Tokens(Sequence[Token]):
+class Tokens:
     """A document's tokens, stored as three parallel columns.
 
     ``texts[i]``, ``starts[i]`` and ``is_word[i]`` are the fields of
@@ -218,11 +201,9 @@ class Tokens(Sequence[Token]):
     ``bytearray`` of 0/1 flags.  Its end offset, ``end(i)``, is not
     stored: the text is the exact input from its start.
     ``tokenize`` stores one string per distinct text, so equal texts are
-    the same object.  No ``Token`` object is stored: indexing and
-    iteration build each one on demand, and a slice is a tuple of them.
-    The columns are what the pipeline reads.  Equal to a ``Tokens``, list
-    or tuple holding equal tokens in the same order; must not be modified
-    once built.
+    the same object.  The columns are what the pipeline reads; iteration
+    builds one ``Token`` per token, in order.  Equal to a ``Tokens`` with
+    equal columns; must not be modified once built.
     """
 
     __slots__ = ("texts", "starts", "is_word")
@@ -239,12 +220,6 @@ class Tokens(Sequence[Token]):
         """The end offset of token ``i``."""
         return self.starts[i] + len(self.texts[i])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self.texts))[index]))
-        i = range(len(self.texts))[index]  # negative indices, IndexError
-        return Token(self.texts[i], self.starts[i], self.end(i), bool(self.is_word[i]))
-
     def __iter__(self) -> Iterator[Token]:
         ends = map(operator.add, self.starts, map(len, self.texts))
         return map(Token, self.texts, self.starts, ends, map(bool, self.is_word))
@@ -256,8 +231,6 @@ class Tokens(Sequence[Token]):
                 and self.starts == other.starts
                 and self.is_word == other.is_word
             )
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self.texts) and all(map(operator.eq, self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -287,7 +260,7 @@ class Document(Record):
     in reading order and each lies inside exactly one sentence span.
     ``tokens`` is a ``Tokens``: the texts, start offsets and word flags of
     the tokens as parallel columns, which the analysis stages read directly;
-    ``Token`` objects are built only when it is indexed or iterated.
+    ``Token`` records are built only when it is iterated.
     """
 
     _fields = ("doc_id", "raw", "sentences", "tokens")

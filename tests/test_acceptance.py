@@ -207,7 +207,7 @@ def _random_text(rng: random.Random) -> str:
 
 
 def _brute_force_scan(
-    tokens: tuple[Token, ...], entries: dict[str, PowerCategory]
+    tokens: list[Token], entries: dict[str, PowerCategory]
 ) -> list[tuple[str, PowerCategory, int, int]]:
     """Naive leftmost-longest scan over word-token windows."""
     max_len = max(len(term.split(" ")) for term in entries)
@@ -247,7 +247,7 @@ def test_criterion_3_matcher_matches_brute_force_oracle():
         doc = build_document("fuzz", _random_text(rng))
         hits = scan(doc, build_matcher(lexicon))
         actual = [(m.term, m.category, m.start, m.end) for m in hits.matches]
-        expected = _brute_force_scan(doc.tokens, dict(lexicon.entries))
+        expected = _brute_force_scan(list(doc.tokens), dict(lexicon.entries))
         assert actual == expected
         recount = {category: 0 for category in PowerCategory}
         for _term, category, _start, _end in expected:

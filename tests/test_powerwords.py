@@ -331,7 +331,7 @@ def naive_find(keys, phrases, max_words=6):
 
 def naive_scan(doc, entries, max_words=6):
     """Brute-force leftmost-longest token-aligned scan of a document."""
-    tokens = doc.tokens
+    tokens = list(doc.tokens)
     keys = [normalize(t.text) if t.is_word else None for t in tokens]
     return [
         (term, category, tokens[start].start, tokens[stop - 1].end)

@@ -162,7 +162,6 @@ def test_equal_records_compare_and_hash_equal(cls, args, expected_repr):
 
 def test_plain_classes_compare_by_class_and_every_field():
     assert Token("a", 0, 1, True) != Token("a", 0, 1, False)
-    assert Token("a", 0, 1, True) != ("a", 0, 1, True)
     assert AnalysisConfig() != AnalysisConfig(sections={"power"})
     assert Gazetteer({"america": EntityLabel.GPE}) != Gazetteer({"america": EntityLabel.NORP})
     assert PowerLexicon({}, "1") != PowerLexicon({}, "2")
@@ -218,8 +217,3 @@ def test_resources_start_words_are_computed_once():
     resources = load_resources(AnalysisConfig())
     assert resources.start_words is resources.start_words
 
-
-@pytest.mark.parametrize(("start", "end"), [(1, 1), (2, 1)])
-def test_token_refuses_an_empty_span(start, end):
-    with pytest.raises(ValueError, match="non-empty"):
-        Token("a", start, end, True)
