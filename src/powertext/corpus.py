@@ -17,7 +17,6 @@ keep the reports themselves.
 from __future__ import annotations
 
 import re
-from functools import cache
 from math import fsum
 from pathlib import Path
 from typing import (
@@ -106,7 +105,6 @@ def strip_gutenberg_boilerplate(text: str) -> GutenbergText:
 # HTML stripping
 # ---------------------------------------------------------------------------
 
-_DROP_CONTENT_TAGS = {"script", "style"}
 _BLOCK_TAGS = {
     "p", "div", "br", "li", "ul", "ol", "table", "tr", "td", "th",
     "h1", "h2", "h3", "h4", "h5", "h6", "blockquote", "pre", "hr",
@@ -125,72 +123,76 @@ _NAMED_ENTITIES = {
 
 
 # What a numeric character reference that names no character decodes to
-# (a surrogate or a code point past U+10FFFF), as in the HTML standard and
-# ``html.unescape``: U+FFFD REPLACEMENT CHARACTER, which is not a word.
+# (NUL, a surrogate or a code point past U+10FFFF), as in the HTML standard
+# and ``html.unescape``: U+FFFD REPLACEMENT CHARACTER, which is not a word.
 _REPLACEMENT = "\ufffd"
 
+# A character reference, its ";" optional, or the opening of markup.  A "&"
+# or "<" that opens neither is text.
+_REFERENCE_OR_MARKUP = re.compile(
+    r"&(?:#[xX](?P<hex>[0-9a-fA-F]+)|#(?P<dec>[0-9]+)|(?P<name>[a-zA-Z][a-zA-Z0-9]*));?"
+    r"|<(?:(?P<slash>/?)(?P<tag>[a-zA-Z][^\s/>]*)|(?P<comment>!(?=--))|(?P<declaration>[!?/]))"
+)
+# Where markup ends, read from just after its opening: the "<!" of a comment
+# (so "<!-->" is one), a tag's name, and the "<!", "<?" or "</" of the rest.
+# A tag ends at the first ">" outside a quoted attribute value (a quote opens
+# one only after "="); no character can match two ways, so none is read twice.
+_MARKUP_END = {
+    "tag": re.compile(r"""[^>=]*(?:=(?:\s*"[^"]*"|\s*'[^']*'|(?!\s*["']))[^>=]*)*>""").match,
+    "comment": re.compile("-->").search,
+    "declaration": re.compile(">").search,
+}
+_RAW_TEXT_END = {name: re.compile(rf"</{name}\s*>", re.IGNORECASE) for name in ("script", "style")}
 
-@cache
-def _text_extractor() -> type:
-    """The ``HTMLParser`` subclass that ``strip_html`` feeds, made once, on
-    first use: ``html.parser`` is imported with the first HTML document."""
-    from html.parser import HTMLParser
 
-    class TextExtractor(HTMLParser):
-        def __init__(self) -> None:
-            super().__init__(convert_charrefs=False)
-            self.pieces: list[str] = []
-            self._drop_depth = 0
-
-        def handle_starttag(self, tag, attrs):
-            if tag in _DROP_CONTENT_TAGS:
-                self._drop_depth += 1
-            elif tag in _BLOCK_TAGS:
-                self.pieces.append("\n")
-
-        def handle_endtag(self, tag):
-            if tag in _DROP_CONTENT_TAGS:
-                self._drop_depth = max(0, self._drop_depth - 1)
-            elif tag in _BLOCK_TAGS:
-                self.pieces.append("\n")
-
-        def handle_startendtag(self, tag, attrs):
-            if tag in _BLOCK_TAGS:
-                self.pieces.append("\n")
-
-        def handle_data(self, data):
-            if not self._drop_depth:
-                self.pieces.append(data)
-
-        # ``HTMLParser`` passes script and style contents to ``handle_data``
-        # as raw text: neither reference handler runs inside them.
-        def handle_entityref(self, name):
-            decoded = _NAMED_ENTITIES.get(name)
-            self.pieces.append(decoded if decoded is not None else f"&{name};")
-
-        def handle_charref(self, name):
-            try:
-                char = chr(int(name[1:], 16) if name.startswith(("x", "X")) else int(name))
-            except (ValueError, OverflowError):
-                char = _REPLACEMENT  # past U+10FFFF
-            # A surrogate code point is no character: UTF-8 cannot encode it.
-            if "\ud800" <= char <= "\udfff":
-                char = _REPLACEMENT
-            self.pieces.append(char)
-
-    return TextExtractor
+def _reference_text(found: re.Match[str]) -> str:
+    """The text a character reference stands for: a name of the pinned set
+    decoded, any other name as written, and a number as in the HTML
+    standard and ``html.unescape``."""
+    hex_digits, digits, name = found.group("hex", "dec", "name")
+    if name is not None:
+        return _NAMED_ENTITIES.get(name, found.group())
+    try:
+        code = int(hex_digits, 16) if hex_digits is not None else int(digits)
+    except ValueError:  # more decimal digits than ``int`` converts
+        return _REPLACEMENT
+    if 0x80 <= code <= 0x9F:  # windows-1252, whose five gaps stay themselves
+        return bytes([code]).decode("cp1252", "ignore") or chr(code)
+    # A surrogate code point is no character: UTF-8 cannot encode it.
+    if code == 0 or 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+        return _REPLACEMENT
+    return chr(code)
 
 
 def strip_html(html: str) -> str:
     """Markup-free text: tags removed, script/style contents dropped,
     block tags turned into line breaks, the pinned entity set decoded,
-    and whitespace normalized (single spaces, single blank lines)."""
-    extractor = _text_extractor()()
-    extractor.feed(html)
-    extractor.close()
-    raw = "".join(extractor.pieces)
+    and whitespace normalized (single spaces, single blank lines).
 
-    lines = [" ".join(line.split()) for line in raw.splitlines()]
+    One scan: markup that never closes leaves the rest of the input as text.
+    """
+    pieces: list[str] = []
+    pos = 0
+    while (found := _REFERENCE_OR_MARKUP.search(html, pos)) is not None:
+        pieces.append(html[pos:found.start()])
+        pos = found.end()
+        markup_end = _MARKUP_END.get(found.lastgroup)
+        if markup_end is None:
+            pieces.append(_reference_text(found))
+        elif (closed := markup_end(html, pos)) is None:  # the rest of the input is text
+            pos = found.start()
+            break
+        else:
+            pos = closed.end()
+            name = (found.group("tag") or "").lower()
+            if name in _BLOCK_TAGS:
+                pieces.append("\n")
+            elif name in _RAW_TEXT_END and not found.group("slash"):
+                raw_end = _RAW_TEXT_END[name].search(html, pos)
+                pos = raw_end.end() if raw_end else len(html)
+    pieces.append(html[pos:])
+
+    lines = [" ".join(line.split()) for line in "".join(pieces).splitlines()]
     normalized: list[str] = []
     for line in lines:
         if line:

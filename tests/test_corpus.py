@@ -193,6 +193,25 @@ def test_undecodable_charref_adds_no_word_and_no_entity():
         assert report.entities == ()
 
 
+@pytest.mark.parametrize("code", [0, *range(0x80, 0xA0)])
+def test_charrefs_to_nul_and_the_c1_range_decode_as_html_unescape_does(code):
+    # 0x80-0x9F read as windows-1252, as browsers do; the five code points
+    # it leaves undefined stay themselves.  NUL becomes U+FFFD.
+    for ref in (f"&#{code};", f"&#x{code:x};", f"&#X{code:02X};"):
+        assert strip_html(f"a{ref}b") == html_module.unescape(f"a{ref}b")
+
+
+def test_windows_1252_apostrophe_keeps_a_negator_whole():
+    # Read as U+0092, the reference would split "don't" into three
+    # tokens: five words, no negator, and a polarity of +0.6.
+    config = AnalysisConfig()
+    text = strip_html("<p>We don&#146;t love it.</p>")
+    report = analyze(build_document("quote", text), config, resources=load_resources(config))
+    assert text == "We don’t love it."
+    assert report.stats.word_count == 4
+    assert report.sentiment.polarity == pytest.approx(-0.3)
+
+
 def test_unknown_named_entity_passes_through():
     assert strip_html("&copy; 2001") == "&copy; 2001"
     assert strip_html("&bogus;") == "&bogus;"
@@ -220,6 +239,39 @@ def test_attribute_values_are_not_text():
 
 def test_plain_text_survives():
     assert strip_html("no markup here") == "no markup here"
+
+
+@pytest.mark.parametrize(
+    "html, text",
+    [
+        # A comment, tag or declaration that never closes: the rest of the
+        # input is text as written.
+        ("a<!-- b -- >c", "a<!-- b -- >c"),
+        ("a<!-- <p>b</p>", "a<!-- <p>b</p>"),
+        ("<the &amp; a", "<the &amp; a"),
+        # "</" without a tag name, "<![CDATA[" and "<!" end at the first ">".
+        ("a</>b", "ab"),
+        ("a</ p>b", "ab"),
+        ("a</1>b", "ab"),
+        ("<![CDATA[a>b]]>c", "b]]>c"),
+        ("<![1 >a", "a"),
+        # "<!-->" and "<!--->" are whole, empty comments.
+        ("<!-->a<!--->b", "ab"),
+        # A quote that does not follow "=" is part of an attribute name.
+        ('<a "x <b>text', "text"),
+        # A script or style element skips to its end tag even when its
+        # start tag ends with "/>".
+        ("<script/>a</script>b", "b"),
+        ("a</script>b", "ab"),
+        # A "&" that starts no reference, and a reference to an unknown
+        # name, are text as written.
+        ("a&b", "a&b"),
+        ("AT&T rocks", "AT&T rocks"),
+        ("&#a; x &#b; <p>y</p>", "&#a; x &#b;\ny"),
+    ],
+)
+def test_malformed_markup_strips_to_pinned_text(html, text):
+    assert strip_html(html) == text
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,20 @@ phrase matcher, entity passes and sentiment scorer that visited every
 token, which the candidate-position scans replaced.  The library must
 agree with them on every input, both on a bare ``Document`` and through
 ``analyze``, whose stages share one ``CandidateIndex`` per document.
+``ReferenceTextExtractor`` is the ``html.parser`` subclass that
+``strip_html`` fed before its own scan; the two must agree on generated
+well-formed HTML.
 """
 
 from __future__ import annotations
 
+import html
+import random
 import re
 import string
 import unicodedata
 from array import array
+from html.parser import HTMLParser
 from statistics import fmean
 from typing import Iterable, Iterator, Mapping, Sequence
 from unittest import mock
@@ -29,6 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powertext.corpus import _BLOCK_TAGS, _NAMED_ENTITIES, strip_html
 from powertext.defaults import GAZETTEER_FILE, data_path
 from powertext.entities import (
     _DATE_START_WORDS,
@@ -972,3 +979,157 @@ def test_tag_entities_through_the_candidate_index_equals_reference(text):
     assert list(report.entities) == reference_tag_entities(
         build_document("t", text), _TEST_GAZETTEER
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference HTML extractor: the ``html.parser`` subclass that the
+# one-scan ``strip_html`` replaced, on generated well-formed HTML
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTextExtractor(HTMLParser):
+    """Text, line breaks and decoded references as ``HTMLParser`` reports
+    them; a numeric reference decodes as ``html.unescape`` has it."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=False)
+        self.pieces: list[str] = []
+        self._drop_depth = 0
+
+    def handle_starttag(self, tag, attrs):
+        if tag in ("script", "style"):
+            self._drop_depth += 1
+        elif tag in _BLOCK_TAGS:
+            self.pieces.append("\n")
+
+    def handle_endtag(self, tag):
+        if tag in ("script", "style"):
+            self._drop_depth = max(0, self._drop_depth - 1)
+        elif tag in _BLOCK_TAGS:
+            self.pieces.append("\n")
+
+    def handle_startendtag(self, tag, attrs):
+        if tag in _BLOCK_TAGS:
+            self.pieces.append("\n")
+
+    def handle_data(self, data):
+        if not self._drop_depth:
+            self.pieces.append(data)
+
+    def handle_entityref(self, name):
+        decoded = _NAMED_ENTITIES.get(name)
+        self.pieces.append(decoded if decoded is not None else f"&{name};")
+
+    def handle_charref(self, name):
+        self.pieces.append(html.unescape(f"&#{name};"))
+
+
+def reference_strip_html(markup: str) -> str:
+    extractor = ReferenceTextExtractor()
+    extractor.feed(markup)
+    extractor.close()
+    lines = [" ".join(line.split()) for line in "".join(extractor.pieces).splitlines()]
+    normalized: list[str] = []
+    for line in lines:
+        if line:
+            normalized.append(line)
+        elif normalized and normalized[-1]:
+            normalized.append("")
+    while normalized and not normalized[-1]:
+        normalized.pop()
+    return "\n".join(normalized)
+
+
+# "&copy;" is a reference to a name outside the decoded set.
+_HTML_WORDS = ["Buy", "now", "free", "it's", '"big"', "a < b", "5 > 3", "x-y", "&copy;"]
+_HTML_BLOCK_TAGS = ["p", "div", "li", "h1", "td", "section", "blockquote"]
+_HTML_INLINE_TAGS = ["b", "i", "span", "a", "em"]
+# Code points whose decoding ``html.unescape`` and ``strip_html`` share:
+# text, NUL, the windows-1252 range, surrogates and past U+10FFFF.
+_CODE_POINTS = [65, 97, 32, 10, 0xE9, 0x2019, 0x1F600, 0, 0x80, 0x81, 0x92, 0x9F, 0xD800, 0x110000]
+# What may end a reference: ";" or a character that is no letter or digit.
+_REFERENCE_ENDS = [";", ";", " ", ",", "!", "\n"]
+
+
+def _cased(rng: random.Random, name: str) -> str:
+    return "".join(ch.upper() if rng.random() < 0.3 else ch for ch in name)
+
+
+def _html_reference(rng: random.Random) -> str:
+    code = rng.choice(_CODE_POINTS)
+    body = rng.choice([*_NAMED_ENTITIES, f"#{code}", f"#x{code:x}", f"#X{code:X}"])
+    return "&" + body + rng.choice(_REFERENCE_ENDS)
+
+
+def _html_attributes(rng: random.Random) -> str:
+    attributes = []
+    for _ in range(rng.randrange(3)):
+        name = rng.choice(["class", "href", "data-x", "disabled"])
+        value = rng.choice([
+            "",  # a boolean attribute
+            '="' + rng.choice(["a>b", "x?a=1&amp;b=2", "it's", "", "c d"]) + '"',
+            "='" + rng.choice(["a>b", 'say "hi"', "&amp;"]) + "'",
+            "=" + rng.choice(["x", "a1", "x&amp;y"]),
+            ' = "spaced"',
+        ])
+        attributes.append(rng.choice([" ", "\n", "  "]) + name + value)
+    return "".join(attributes) + rng.choice(["", " "])
+
+
+def _html_text(rng: random.Random) -> str:
+    pieces = []
+    for _ in range(rng.randrange(1, 5)):
+        pieces.append(rng.choice(_HTML_WORDS))
+        pieces.append(_html_reference(rng) if rng.random() < 0.3 else rng.choice([" ", "\n "]))
+    return "".join(pieces)
+
+
+def _html_raw_text(rng: random.Random, name: str) -> str:
+    other = "style" if name == "script" else "script"
+    content = "".join(
+        rng.choice(["if (a < b && c) { ", "s = '<p>&amp;</p>'; ", "&#65; ", f"</{other}>", "} "])
+        for _ in range(rng.randrange(4))
+    )
+    end = "</" + _cased(rng, name) + rng.choice(["", " "]) + ">"
+    return "<" + _cased(rng, name) + _html_attributes(rng) + ">" + content + end
+
+
+def _html_nodes(rng: random.Random, depth: int) -> str:
+    nodes = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(7)
+        if kind == 0 or depth > 3:
+            nodes.append(_html_text(rng))
+        elif kind in (1, 2):
+            name = rng.choice(_HTML_BLOCK_TAGS if kind == 1 else _HTML_INLINE_TAGS)
+            nodes.append(
+                "<" + _cased(rng, name) + _html_attributes(rng) + ">"
+                + _html_nodes(rng, depth + 1)
+                + "</" + _cased(rng, name) + rng.choice(["", " "]) + ">"
+            )
+        elif kind == 3:
+            nodes.append(rng.choice(["<br>", "<br/>", "<BR />", "<hr>"]))
+        elif kind == 4:
+            held = rng.sample([" note ", "<p>x</p>", "&amp;", " a-b ", "<b>"], rng.randrange(3))
+            nodes.append("<!--" + "".join(held) + "-->")
+        else:
+            nodes.append(_html_raw_text(rng, rng.choice(["script", "style"])))
+    return "".join(nodes)
+
+
+def _generated_html(rng: random.Random) -> str:
+    head = rng.choice([
+        "",
+        "<!DOCTYPE html>\n",
+        "<!doctype html>",
+        '<?xml version="1.0" encoding="utf-8"?>\n',
+    ])
+    title = "<title>" + _html_text(rng) + "</title>" if rng.random() < 0.3 else ""
+    return head + title + _html_nodes(rng, 0) + "</p> End."
+
+
+def test_strip_html_equals_the_html_parser_reference_on_well_formed_html():
+    rng = random.Random(23)
+    for _ in range(3000):
+        markup = _generated_html(rng)
+        assert strip_html(markup) == reference_strip_html(markup), markup

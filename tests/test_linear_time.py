@@ -4,8 +4,8 @@ Each stage runs on one repeated unit at two sizes, four times apart.  A
 stage that reads its input in linear time takes about four times as long
 on the larger text, a quadratic one about sixteen times; the guard fails
 above ``GROWTH_LIMIT``.  The units are the ones that have made a stage
-quadratic (runs of sentence terminators that no whitespace follows) and
-a seeded sample of two-piece units.
+quadratic (runs of sentence terminators that no whitespace follows, and
+markup that never closes) and a seeded sample of two-piece units.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _PIECES = [
     "-", "'", ",", "\ufeff", "Dr", "e.g", "<", "&", "*** START OF", "*** END OF",
 ]
 _SAMPLED_UNITS = random.Random(22).sample([a + b for a in _PIECES for b in _PIECES], 12)
-UNITS = [".", "?!", ".!", *_SAMPLED_UNITS]
+UNITS = [".", "?!", ".!", "a<", "<!--", '<a x="', *_SAMPLED_UNITS]
 
 
 def _best_seconds(run: Callable[[object], object], arg: object) -> float:
@@ -93,6 +93,7 @@ def stages():
         "render_structured": (report, render_structured),
         "render_markdown": (report, render_markdown),
         "strip_gutenberg_boilerplate": (str, _strip_gutenberg),
+        "strip_html": (str, strip_html),
     }
 
 
@@ -101,10 +102,20 @@ def test_each_stage_grows_linearly_on_a_repeated_unit(stages, unit):
     assert _growth_failures(stages, unit) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP.md open item 1: html.parser reads the rest of the text at each unclosed '<'",
-)
 def test_strip_html_grows_linearly_on_unclosed_tags():
     assert _growth_failures({"strip_html": (str, strip_html)}, "<the ") == []
+
+
+MAX_UNCLOSED_MARKUP_SECONDS = 0.5
+
+
+@pytest.mark.parametrize("unit", ["<the ", "a<", "<!--", '<a x="'], ids=repr)
+def test_unclosed_markup_is_stripped_in_linear_time(unit):
+    # Markup that never closes is text.  A parser that reads the rest of
+    # the input again at each unclosed "<" took 10 s on 48 KB of "<the ".
+    html = unit * (48_000 // len(unit))
+    started = time.perf_counter()
+    text = strip_html(html)
+    elapsed = time.perf_counter() - started
+    assert text == " ".join(html.split())
+    assert elapsed < MAX_UNCLOSED_MARKUP_SECONDS, f"{elapsed:.3f}s"

@@ -290,9 +290,9 @@ def test_load_resources_tolerates_missing_exceptions_file(tmp_path, monkeypatch)
 
 def test_import_and_load_resources_leave_unused_modules_unloaded():
     # Modules that the import and ``load_resources`` have no use for;
-    # ``powertext.corpus`` and ``html.parser`` are imported by the first
-    # ``strip_html``.  ``-S``: a site-packages ``.pth`` file may import
-    # modules of its own.
+    # ``powertext.corpus`` is imported by the first ``strip_html``, and
+    # ``html.parser`` by none.  ``-S``: a site-packages ``.pth`` file may
+    # import modules of its own.
     unused = (
         "statistics", "html.parser", "json", "importlib.resources", "dataclasses", "inspect",
         "powertext.corpus",
@@ -309,7 +309,7 @@ def test_import_and_load_resources_leave_unused_modules_unloaded():
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "'a & b' True"]
+    assert proc.stdout.splitlines() == ["[]", "'a & b' False"]
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
