@@ -232,7 +232,8 @@ def load_manifest(
     malformed lines are errors naming the line.  So is an id that could
     not be a report file name inside the ``--out`` directory: one that
     contains ``/``, ``\\``, ``..`` or a NUL, starts with ``.``, or is
-    ``corpus`` in any case.
+    ``corpus``.  Ids are compared ignoring case, as a report file name is
+    on a case-insensitive file system.
     """
     lines = DataLines(source)
     if base_dir is not None:
@@ -243,7 +244,8 @@ def load_manifest(
         root = Path(source).parent
 
     entries: list[ManifestEntry] = []
-    seen_ids: dict[str, int] = {}
+    # Casefolded id -> (line, id) of its first entry.
+    seen_ids: dict[str, tuple[int, str]] = {}
     for line in lines:
         raw_path, doc_id, genre, kind = lines.fields(line, ",", 4, "path,id,genre,kind")
         if not raw_path:
@@ -252,10 +254,11 @@ def load_manifest(
             raise lines.error(f"path {raw_path!r} contains a NUL")
         if not doc_id:
             raise lines.error("empty id")
+        folded = doc_id.casefold()
         if (
             any(part in doc_id for part in ("/", "\\", "..", "\0"))
             or doc_id.startswith(".")
-            or doc_id.lower() == SUMMARY_ID
+            or folded == SUMMARY_ID
         ):
             raise lines.error(
                 f"id {doc_id!r} cannot name a report file: it may not contain "
@@ -267,9 +270,10 @@ def load_manifest(
             raise lines.error(
                 f"unknown kind {kind!r} (expected one of {', '.join(SOURCE_KINDS)})"
             )
-        if doc_id in seen_ids:
-            raise lines.error(f"duplicate id {doc_id!r} (first on line {seen_ids[doc_id]})")
-        seen_ids[doc_id] = lines.lineno
+        first_line, first_id = seen_ids.setdefault(folded, (lines.lineno, doc_id))
+        if first_line != lines.lineno:
+            as_first = "" if first_id == doc_id else f" as {first_id!r}, ignoring case"
+            raise lines.error(f"duplicate id {doc_id!r} (first on line {first_line}{as_first})")
         file_path = Path(raw_path)
         if not file_path.is_absolute():
             file_path = root / file_path
@@ -308,8 +312,9 @@ def iter_corpus(manifest: CorpusManifest) -> Iterator[CorpusDocument]:
     """
     for entry in manifest.entries:
         if not entry.path.is_file():
+            problem = "not a regular file" if entry.path.exists() else "no such file"
             raise DataFileError(
-                f"cannot read corpus file for {entry.doc_id!r}: no such file",
+                f"cannot read corpus file for {entry.doc_id!r}: {problem}",
                 source=str(entry.path),
             )
     return map(_load_entry, manifest.entries)

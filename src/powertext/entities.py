@@ -96,9 +96,8 @@ class Gazetteer(Record):
     def __init__(self, entries: Mapping[str, EntityLabel]) -> None:
         Record.__init__(self, entries)
         matcher = PhraseMatcher(entries)
-        object.__setattr__(self, "_matcher", matcher)
         starts = _DATE_START_WORDS.union(matcher.first_words, _FIXED_PHRASES.first_words)
-        object.__setattr__(self, "start_words", starts)
+        vars(self).update(_matcher=matcher, start_words=starts)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ are deliberately small, explicit, and heavily tested:
 * syllables come from vowel-group counting with an exceptions table and
   a silent-e rule.
 
-A document's tokens are columns, not objects: ``Tokens`` keeps the token
-texts, start offsets and word flags in a list, an ``array('q')`` and a
-``bytearray``, and builds ``Token`` records only when it is iterated;
+A ``Document`` is its id and its text; its sentence spans and tokens are
+derived from the text, so they always match it.  Its tokens are columns,
+not objects: ``Tokens`` keeps the token texts, start offsets and word
+flags in a list, an ``array('q')`` and a ``bytearray``, and builds
+``Token`` records only when it is iterated;
 the pipeline reads the columns.  A token's end offset is its start plus
 the length of its text, so it is computed where it is needed, never
 stored.  Equal token texts of one document are one string object, so
@@ -138,12 +140,12 @@ class Record:
     attributes, ``len`` or lookup by key.  The plain records are
     ``NamedTuple``s.
 
-    A subclass names its constructor arguments in ``_fields``, in order,
-    and its ``__init__`` stores them in the instance dict with
-    ``Record.__init__``.  Instances compare equal and hash by class and
-    fields, print as ``Name(field=value, ...)``, refuse assignment and
-    deletion, and pickle and copy by calling the constructor with their
-    fields, so that derived attributes are derived again.
+    A subclass names its constructor arguments in ``_fields``, in order;
+    its ``__init__`` stores them with ``Record.__init__``, and what it
+    derives from them in ``vars(self)``.  Instances compare equal and
+    hash by class and fields, print as ``Name(field=value, ...)``, refuse
+    assignment and deletion, and pickle and copy by calling the
+    constructor with their fields, so derived attributes are derived again.
     """
 
     __slots__ = ()
@@ -203,7 +205,7 @@ class Tokens:
     ``tokenize`` stores one string per distinct text, so equal texts are
     the same object.  The columns are what the pipeline reads; iteration
     builds one ``Token`` per token, in order.  Equal to a ``Tokens`` with
-    equal columns; must not be modified once built.
+    equal columns; unhashable, and must not be modified once built.
     """
 
     __slots__ = ("texts", "starts", "is_word")
@@ -233,9 +235,6 @@ class Tokens:
             )
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __repr__(self) -> str:
         return f"Tokens({list(self)!r})"
 
@@ -254,26 +253,27 @@ class TextStats(NamedTuple):
 
 
 class Document(Record):
-    """A parsed text: raw string, sentence spans, and tokens.
+    """A text and its id, the only fields: equality, hash, ``repr`` and
+    pickling read those two and never build a ``Token``.
 
-    Sentence spans are ``(start, end)`` offsets into ``raw``; tokens are
-    in reading order and each lies inside exactly one sentence span.
-    ``tokens`` is a ``Tokens``: the texts, start offsets and word flags of
-    the tokens as parallel columns, which the analysis stages read directly;
-    ``Token`` records are built only when it is iterated.
+    ``sentences`` (``tuple(split_sentences(raw))``, ``(start, end)``
+    offsets into ``raw``) and ``tokens`` (``tokenize(raw)``, columns in
+    reading order) are derived from ``raw`` when the document is built.
+    Spans break only at whitespace, which no token crosses, so each token
+    lies inside exactly one span.
     """
 
-    _fields = ("doc_id", "raw", "sentences", "tokens")
+    _fields = ("doc_id", "raw")
 
     doc_id: str
     raw: str
     sentences: tuple[tuple[int, int], ...]
     tokens: Tokens
 
-    def __init__(
-        self, doc_id: str, raw: str, sentences: tuple[tuple[int, int], ...], tokens: Tokens
-    ) -> None:
-        Record.__init__(self, doc_id, raw, sentences, tokens)
+    def __init__(self, doc_id: str, raw: str) -> None:
+        Record.__init__(self, doc_id, raw)
+        # Through the module names, which the benchmark's tracer replaces.
+        vars(self).update(sentences=tuple(split_sentences(raw)), tokens=tokenize(raw))
 
     @cached_property
     def keys(self) -> tuple[str | None, ...]:
@@ -651,15 +651,8 @@ def count_syllables(word: str, exceptions: Mapping[str, int] | None = None) -> i
 
 
 def build_document(doc_id: str, text: str) -> Document:
-    """Split ``text`` into sentences and tokens.
-
-    Sentence spans break only at whitespace and no token crosses it, so
-    one ``tokenize`` call over the whole text gives the tokens of every
-    sentence, in order.  Only a byte-order mark at offset 0 is skipped;
-    one anywhere else is a non-word token, as ``tokenize`` makes it.
-    """
-    spans = split_sentences(text)
-    return Document(doc_id=doc_id, raw=text, sentences=tuple(spans), tokens=tokenize(text))
+    """``text`` split into sentences and tokens: ``Document(doc_id, text)``."""
+    return Document(doc_id, text)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +826,7 @@ class DocumentTypes:
         memo = dict(zip(self.counts, map(_KEY, self.entries)))
         keys = tuple(map(memo.get, doc.tokens.texts))
         # ``keys`` is a cached property: it reads the instance's dict.
-        object.__setattr__(doc, "keys", keys)
+        vars(doc)["keys"] = keys
         return keys
 
 

@@ -351,6 +351,15 @@ def test_corpus_entry_missing_file_exits_2_and_names_id(data_dir, tmp_path):
     assert "ghost-id" in result.stderr
 
 
+def test_corpus_entry_that_is_a_directory_exits_2_and_says_so(data_dir, tmp_path):
+    (tmp_path / "adir").mkdir()
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("adir,x,fiction,plain\n", encoding="utf-8")
+    result = run_cli("corpus", manifest, data_dir=data_dir)
+    assert result.returncode == 2
+    assert result.stderr.endswith("adir: cannot read corpus file for 'x': not a regular file\n")
+
+
 def test_corpus_entry_that_is_not_utf8_exits_2_and_names_id(data_dir, tmp_path):
     (tmp_path / "latin1.txt").write_bytes("Un café noir.\n".encode("latin-1"))
     manifest = tmp_path / "m.csv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import html as html_module
 import io
+import os
 import random
 from pathlib import Path
 
@@ -345,6 +346,18 @@ def test_manifest_duplicate_id(tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("first", "second"), [("A", "a"), ("doc-a", "DOC-A"), ("Straße", "STRASSE")]
+)
+def test_manifest_ids_that_differ_only_in_case_are_duplicates(tmp_path, first, second):
+    # Their reports would be one file on a case-insensitive file system.
+    stream = io.StringIO(f"a.txt,{first},fiction,plain\nb.txt,{second},speech,plain\n")
+    with pytest.raises(DataFileError, match="duplicate id") as err:
+        load_manifest(stream, base_dir=tmp_path)
+    assert err.value.line == 2
+    assert f"(first on line 1 as {first!r}, ignoring case)" in str(err.value)
+
+
+@pytest.mark.parametrize(
     "doc_id",
     ["corpus", "Corpus", "CORPUS", "../escaped", "sub/doc", "sub\\doc", "a..b", ".hidden", ".."],
 )
@@ -516,6 +529,21 @@ def test_iter_corpus_checks_every_file_before_reading_any(tmp_path):
     with pytest.raises(DataFileError, match="ghost") as err:
         iter_corpus(CorpusManifest(entries=entries))
     assert err.value.source == str(tmp_path / "ghost.txt")
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo", "missing"])
+def test_iter_corpus_tells_a_path_that_is_not_a_regular_file_from_a_missing_one(tmp_path, kind):
+    path = tmp_path / "entry"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        os.mkfifo(path)
+    entries = (ManifestEntry(path=path, doc_id="x", genre="speech", kind="plain"),)
+    problem = "no such file" if kind == "missing" else "not a regular file"
+    with pytest.raises(DataFileError, match=f"^.*: cannot read corpus file for 'x': {problem}$"):
+        iter_corpus(CorpusManifest(entries=entries))
 
 
 def test_data_file_errors_show_an_unprintable_path_as_its_repr(tmp_path):

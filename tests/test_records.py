@@ -25,18 +25,20 @@ from powertext.powerwords import (
     PowerWordHits,
 )
 from powertext.readability import ReadabilityReport
-from powertext.report import AnalysisConfig, AnalysisReport, Resources, load_resources
+from powertext.report import AnalysisConfig, AnalysisReport, Resources, analyze, load_resources
 from powertext.sentiment import SentimentEntry, SentimentLexicon, SentimentScore
-from powertext.textcore import Document, TextStats, Token, build_document
+from powertext.textcore import (
+    Document,
+    TextStats,
+    Token,
+    build_document,
+    split_sentences,
+    tokenize,
+)
 
 GREED = PowerCategory.GREED
 _DOC = build_document("d", "Hi you.")
-_DOC_REPR = (
-    "Document(doc_id='d', raw='Hi you.', sentences=((0, 7),), tokens=Tokens(["
-    "Token(text='Hi', start=0, end=2, is_word=True), "
-    "Token(text='you', start=3, end=6, is_word=True), "
-    "Token(text='.', start=6, end=7, is_word=False)]))"
-)
+_DOC_REPR = "Document(doc_id='d', raw='Hi you.')"
 _STATS_ARGS = (1, 2, 3, 4, 5, 6, 7, 8)
 _STATS = TextStats(*_STATS_ARGS)
 _STATS_REPR = (
@@ -52,7 +54,7 @@ _ENTRY_REPR = "ManifestEntry(path='a.txt', doc_id='a', genre='speech', kind='txt
 # that instance's ``repr``.
 RECORDS = [
     (Token, ("a", 0, 1, True), "Token(text='a', start=0, end=1, is_word=True)"),
-    (Document, ("d", _DOC.raw, _DOC.sentences, _DOC.tokens), _DOC_REPR),
+    (Document, ("d", _DOC.raw), _DOC_REPR),
     (TextStats, _STATS_ARGS, _STATS_REPR),
     (ManifestEntry, _ENTRY_ARGS, _ENTRY_REPR),
     (CorpusManifest, ((_ENTRY,),), f"CorpusManifest(entries=({_ENTRY_REPR},))"),
@@ -199,6 +201,43 @@ def test_gazetteer_copies_derive_the_matcher_and_start_words_again():
         assert twin.start_words == gazetteer.start_words
         assert "new" in twin.start_words
         assert tag_entities(doc, twin) == tag_entities(doc, gazetteer) != []
+
+
+def test_a_document_is_its_id_and_text_with_sentences_and_tokens_derived():
+    text = "\ufeffDr. King spoke.  It’s 1963!\nDone"
+    doc = Document("d", text)
+    assert Document._fields == ("doc_id", "raw")
+    assert doc == build_document("d", text) == Document(doc_id="d", raw=text)
+    assert doc.sentences == tuple(split_sentences(text))
+    assert doc.tokens == tokenize(text)
+    with pytest.raises(TypeError):
+        Document("d", text, doc.sentences, doc.tokens)
+
+
+def test_documents_and_reports_hash_compare_print_and_pickle_without_building_tokens(
+    monkeypatch,
+):
+    text = "Free gift for you in America today. " * 200
+    resources = load_resources(AnalysisConfig())
+    doc, twin = build_document("d", text), build_document("d", text)
+    report = analyze(doc, AnalysisConfig(), resources=resources)
+    twin_report = analyze(twin, AnalysisConfig(), resources=resources)
+    # A report with a power section holds dicts, so only one without hashes.
+    hashable = AnalysisReport(doc, report.stats, frozenset())
+    built = []
+    monkeypatch.setattr(textcore, "Token", lambda *fields: built.append(fields))
+    operations = {
+        "hash": lambda: (
+            hash(doc) == hash(twin)
+            and hash(hashable) == hash(hashable._replace(document=twin))
+        ),
+        "compare": lambda: doc == twin and report == twin_report,
+        "print": lambda: len(repr(doc)) < len(text) + 40 and text[:20] in repr(report),
+        "pickle": lambda: all(pickle.loads(pickle.dumps(obj)) == obj for obj in (doc, report)),
+    }
+    for name, operation in operations.items():
+        assert operation(), name
+        assert built == [], name
 
 
 def test_document_keys_are_computed_once(monkeypatch):

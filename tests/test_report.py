@@ -966,7 +966,7 @@ def _per_category(values):
 
 _reports = st.builds(
     AnalysisReport,
-    document=_texts.map(lambda doc_id: Document(doc_id, _DOC.raw, _DOC.sentences, _DOC.tokens)),
+    document=_texts.map(lambda doc_id: Document(doc_id, _DOC.raw)),
     stats=st.builds(TextStats, *[_ints] * 8),
     sections=st.frozensets(st.sampled_from(ALL_SECTIONS)),
     readability=st.none()
