@@ -17,6 +17,7 @@ keep the reports themselves.
 from __future__ import annotations
 
 import re
+import unicodedata
 from math import fsum
 from pathlib import Path
 from typing import (
@@ -232,8 +233,9 @@ def load_manifest(
     malformed lines are errors naming the line.  So is an id that could
     not be a report file name inside the ``--out`` directory: one that
     contains ``/``, ``\\``, ``..`` or a NUL, starts with ``.``, or is
-    ``corpus``.  Ids are compared ignoring case, as a report file name is
-    on a case-insensitive file system.
+    ``corpus``.  Ids are compared ignoring case and normalization form
+    (Unicode's canonical caseless match), as a report file name is on a
+    case- or normalization-insensitive file system.
     """
     lines = DataLines(source)
     if base_dir is not None:
@@ -244,7 +246,7 @@ def load_manifest(
         root = Path(source).parent
 
     entries: list[ManifestEntry] = []
-    # Casefolded id -> (line, id) of its first entry.
+    # Folded id -> (line, id) of its first entry.
     seen_ids: dict[str, tuple[int, str]] = {}
     for line in lines:
         raw_path, doc_id, genre, kind = lines.fields(line, ",", 4, "path,id,genre,kind")
@@ -254,7 +256,7 @@ def load_manifest(
             raise lines.error(f"path {raw_path!r} contains a NUL")
         if not doc_id:
             raise lines.error("empty id")
-        folded = doc_id.casefold()
+        folded = unicodedata.normalize("NFD", unicodedata.normalize("NFD", doc_id).casefold())
         if (
             any(part in doc_id for part in ("/", "\\", "..", "\0"))
             or doc_id.startswith(".")

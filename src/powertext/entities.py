@@ -12,8 +12,8 @@ Fixed phrases (the date and time phrases, the gazetteer surfaces) all
 match through ``textcore.PhraseMatcher``: the tagger's key list holds
 ``None`` for every token a pass has claimed, so later passes never
 match across a claim.  Each pass visits only the positions where a
-match can start (number tokens, date start words, first words of a
-phrase), which it filters from the document's ``CandidateIndex``, not
+match can be found (number tokens, date start words, a phrase's anchor
+word), which it filters from the document's ``CandidateIndex``, not
 every token.  The gazetteer file is read by ``textcore.DataLines``.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from pathlib import Path
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, Collection, Mapping, NamedTuple, Sequence
 
 from .candidates import CandidateIndex, StartWords
 from .textcore import DataLines, Document, PhraseMatcher, Record, is_number_key
@@ -80,23 +80,30 @@ class Gazetteer(Record):
     """Normalized surface form -> label lookups for the curated labels.
 
     The surfaces are compiled once, at construction, into a
-    ``PhraseMatcher``.  ``start_words`` holds every key but a number token
-    at which the tagger's passes can start a match: the first words of the
-    surfaces and of the fixed phrases, and the date start words.  Only
-    ``entries`` is a field: equality, hash and ``repr`` ignore the
-    derived two.
+    ``PhraseMatcher``.  ``start_words`` holds the collections of keys,
+    number tokens aside, at which the tagger's passes can find a match:
+    the date start words, then the anchor words of the surfaces and of
+    the fixed phrases (``anchors`` and ``shifted`` of each matcher), the
+    parts of a ``StartWords``.  Only ``entries`` is a field: equality,
+    hash and ``repr`` ignore the derived two.
     """
 
     _fields = ("entries",)
 
     entries: Mapping[str, EntityLabel]
     _matcher: PhraseMatcher
-    start_words: frozenset[str]
+    start_words: tuple[Collection[str], ...]
 
     def __init__(self, entries: Mapping[str, EntityLabel]) -> None:
         Record.__init__(self, entries)
         matcher = PhraseMatcher(entries)
-        starts = _DATE_START_WORDS.union(matcher.first_words, _FIXED_PHRASES.first_words)
+        starts = (
+            _DATE_START_WORDS,
+            matcher.anchors,
+            matcher.shifted,
+            _FIXED_PHRASES.anchors,
+            _FIXED_PHRASES.shifted,
+        )
         vars(self).update(_matcher=matcher, start_words=starts)
 
 
@@ -321,7 +328,7 @@ def tag_entities(
         distinct = set(doc.keys)
         distinct.discard(None)
         numbers = frozenset(filter(is_number_key, distinct))
-        index = CandidateIndex(doc.keys, StartWords(gazetteer.start_words), numbers)
+        index = CandidateIndex(doc.keys, StartWords(*gazetteer.start_words), numbers)
     elif index.numbers is None:
         raise ValueError("the candidate index holds no number keys")
     tagger = _Tagger(doc, index)

@@ -177,7 +177,7 @@ def scan(
     A phrase term matches only across consecutive word tokens (any
     non-word token, such as punctuation, breaks it).  A document with no
     matches yields all-zero counts (never an error).  ``index``, the
-    document's ``CandidateIndex`` with the matcher's first words among
+    document's ``CandidateIndex`` with the matcher's anchor words among
     its start words, saves a scan of every key.
     """
     starts, end = doc.tokens.starts, doc.tokens.end

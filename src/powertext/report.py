@@ -146,10 +146,11 @@ class Resources(Record):
     held by ``word_table``, the run's type table, which remembers the key
     and figures of every word text looked up since: all documents
     analysed with these resources share it.  ``start_words``, computed on
-    first use, is the ``StartWords`` of the loaded data (power terms'
-    first words, sentiment entries, the tagger's phrase and date start
-    words), against which ``analyze`` builds each document's
-    ``CandidateIndex``.
+    first use, is the ``StartWords`` of the loaded data (the power
+    matcher's anchor words, sentiment entries, the tagger's date start
+    words and anchor words), against which ``analyze`` builds each
+    document's ``CandidateIndex``; it holds eight parts at most, one per
+    bit of the index's stage byte.
     """
 
     _fields = ("word_table", "matcher", "sentiment_lexicon", "gazetteer")
@@ -172,11 +173,11 @@ class Resources(Record):
     def start_words(self) -> StartWords:
         parts = []
         if self.matcher is not None:
-            parts.append(self.matcher.first_words)
+            parts += self.matcher.anchors, self.matcher.shifted
         if self.sentiment_lexicon is not None:
             parts.append(self.sentiment_lexicon.entries)
         if self.gazetteer is not None:
-            parts.append(self.gazetteer.start_words)
+            parts += self.gazetteer.start_words
         return StartWords(*parts)
 
 

@@ -54,10 +54,11 @@ token text.
 Every lexicon stage reads the keys, and visits only candidates: power
 words, gazetteer surfaces and fixed date/time phrases all match through
 one ``PhraseMatcher``, and sentiment scores lexicon entries.  A
-``candidates.CandidateIndex`` holds the positions (and keys) where some
-stage's match can start, picked out by one C-level scan of the key
-column against the union of the stages' start words; ``analyze`` builds
-one per document and each stage filters that short list.  A stage called
+``candidates.CandidateIndex`` holds the positions (with their keys and
+stage bytes) where some stage can find a match, a phrase at its anchor
+word, picked out by one C-level scan of the key column against the union
+of the stages' start words; ``analyze`` builds one per document and each
+stage filters that short list by its bit of the stage byte.  A stage called
 on a bare ``Document`` makes its own index.
 
 Every data-file loader reads its file through ``DataLines``, which holds
@@ -299,28 +300,41 @@ class PhraseMatcher:
     word-level keyword trie of Aho & Corasick).  It reads a key sequence
     such as ``Document.keys``, where a ``None`` key is a barrier no phrase
     crosses: a non-word token, or a token an earlier pass has claimed.
-    ``find`` visits only the candidate positions, the keys in
-    ``first_words`` (the keys that start some phrase, one frozenset made
-    once), which it filters from a document's ``CandidateIndex``, and
-    walks the trie from a candidate only when a phrase can end past its
-    first word or at it.  Phrases are a few words long, so each walk is
-    short and the scan needs no failure links.  Immutable, so safe to
-    share between threads.
+    A phrase is looked for at its anchor, its longest word (the leftmost
+    on a tie): "the long night" at "night", not at each "the" (a phrase
+    query run from its rarest term, Manning, Raghavan & Schütze, §2.4).
+    ``anchors`` holds the anchor words that begin their phrase and
+    ``shifted`` maps each other anchor word to its offsets in its phrases.
+    ``find`` filters their positions from a document's ``CandidateIndex``,
+    tries the phrase starts they give, in order, and walks the trie from
+    a start only when a phrase can end past its first word or at it.
+    Phrases are a few words long, so each walk is short and the scan
+    needs no failure links.  Immutable, so safe to share between threads.
     """
 
-    __slots__ = ("_root", "first_words")
+    __slots__ = ("_root", "anchors", "shifted")
 
     def __init__(self, phrases: Mapping[str, object]) -> None:
         # Each node maps a word to its child node; the node that ends a
         # phrase also maps ``None`` to that phrase's value.
         root: dict = {}
+        anchors = set()
+        shifted: dict[str, set[int]] = {}
         for phrase, value in phrases.items():
+            words = phrase.split(" ")
             node = root
-            for word in phrase.split(" "):
+            for word in words:
                 node = node.setdefault(word, {})
             node[None] = value
+            anchor = max(words, key=len)  # the first of the longest
+            offset = words.index(anchor)
+            if offset:
+                shifted.setdefault(anchor, set()).add(offset)
+            else:
+                anchors.add(anchor)
         self._root = root
-        self.first_words = frozenset(root)
+        self.anchors = frozenset(anchors)
+        self.shifted = {word: tuple(sorted(offsets)) for word, offsets in shifted.items()}
 
     def longest_at(self, keys: Sequence[str | None], i: int) -> tuple[int, object] | None:
         """``(stop, value)`` of the longest phrase that is exactly
@@ -345,9 +359,9 @@ class PhraseMatcher:
         order and non-overlapping: the scan resumes at each ``stop``.
 
         ``index``, a ``CandidateIndex`` built over ``keys`` whose start
-        words include ``first_words``, gives the candidate positions (an
-        index built for other words raises ``ValueError``); without one,
-        ``find`` builds its own from ``keys``.  A caller
+        words include ``anchors`` and ``shifted``, gives the candidate
+        positions (an index built for other words raises ``ValueError``);
+        without one, ``find`` builds its own from ``keys``.  A caller
         may set a yielded match's ``keys[start:stop]`` to ``None`` before
         asking for the next match, as the entity tagger's claims do, or
         mask keys before the scan: the live key is re-read at each
@@ -356,16 +370,26 @@ class PhraseMatcher:
         root = self._root
         last = len(keys) - 1
         stop = 0
+        shifted = self.shifted
         if index is None:
-            index = CandidateIndex(keys, StartWords(self.first_words))
-        for i in index.among(self.first_words):
+            index = CandidateIndex(keys, StartWords(self.anchors, shifted))
+        starts = index.among(self.anchors)
+        if shifted:
+            # A phrase whose anchor sits ``offset`` words in starts that
+            # far before it; a masked anchor starts nothing, and a start
+            # before 0 is skipped as one before ``stop``.
+            starts = sorted([
+                *starts,
+                *(p - offset for p in index.among(shifted) for offset in shifted.get(keys[p], ())),
+            ])
+        for i in starts:
             if i < stop:
                 continue
             node = root.get(keys[i])
-            if node is None:  # masked since the index was built
+            if node is None:  # no phrase starts here, or the key is masked
                 continue
             # Walk only when the first word is a phrase by itself or the
-            # next key continues one; most candidates ("the") do neither.
+            # next key continues one.
             if None in node or (i < last and keys[i + 1] in node):
                 hit = self.longest_at(keys, i)
                 if hit is not None:

@@ -358,6 +358,28 @@ def test_manifest_ids_that_differ_only_in_case_are_duplicates(tmp_path, first, s
 
 
 @pytest.mark.parametrize(
+    ("first", "second"),
+    [
+        ("caf\u00e9", "cafe\u0301"),  # NFC and NFD
+        ("\u00c5", "\u212b"),  # LATIN CAPITAL A WITH RING ABOVE, ANGSTROM SIGN
+        ("\u212b", "A\u030a"),  # ANGSTROM SIGN, A and COMBINING RING ABOVE
+        ("\u00c5ngstr\u00f6m", "a\u030angstro\u0308m"),  # case and form at once
+    ],
+)
+def test_manifest_ids_that_differ_only_in_normalization_form_are_duplicates(
+    tmp_path, first, second
+):
+    # A normalization-insensitive file system (such as APFS) gives their
+    # reports one name.  Ids are folded by Unicode's canonical caseless
+    # match, NFD(casefold(NFD(id))), and named in the case-only message.
+    stream = io.StringIO(f"a.txt,{first},fiction,plain\nb.txt,{second},speech,plain\n")
+    with pytest.raises(DataFileError, match="duplicate id") as err:
+        load_manifest(stream, base_dir=tmp_path)
+    assert err.value.line == 2
+    assert f"(first on line 1 as {first!r}, ignoring case)" in str(err.value)
+
+
+@pytest.mark.parametrize(
     "doc_id",
     ["corpus", "Corpus", "CORPUS", "../escaped", "sub/doc", "sub\\doc", "a..b", ".hidden", ".."],
 )

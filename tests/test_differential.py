@@ -50,7 +50,7 @@ from powertext.entities import (
     load_gazetteer,
     tag_entities,
 )
-from powertext.report import AnalysisConfig, Resources, analyze
+from powertext.report import AnalysisConfig, Resources, analyze, load_resources
 from powertext.sentiment import (
     NEGATION_FACTOR,
     NEGATION_WINDOW,
@@ -750,10 +750,21 @@ def reference_analyze_sentiment(doc: Document, lex: SentimentLexicon) -> Sentime
 # ---------------------------------------------------------------------------
 
 # Phrase words that share prefixes ("the", "the long", "the long night"),
-# so that candidates are often rejected or cut short.
-_PHRASE_WORDS = ("the", "long", "night", "united", "states", "new", "york", "a")
+# so that candidates are often rejected or cut short, and words of equal
+# length, so that anchors tie.  Half the phrases open with one or two
+# short words, so that their anchor, the longest word, often sits after
+# the first.
+_PHRASE_WORDS = ("the", "long", "night", "united", "states", "new", "york", "a", "of")
+_SHORT_WORDS = ("the", "a", "of", "new")
 _phrase_sets = st.dictionaries(
-    st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=4).map(" ".join),
+    st.one_of(
+        st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=4),
+        st.builds(
+            list.__add__,
+            st.lists(st.sampled_from(_SHORT_WORDS), min_size=1, max_size=2),
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3),
+        ),
+    ).map(" ".join),
     st.integers(0, 9),
     max_size=8,
 )
@@ -774,6 +785,11 @@ def _find_and_mask(find, keys: list) -> tuple[list, list]:
 @given(phrases=_phrase_sets, keys=_key_streams)
 @example(phrases={"the long night": 1, "long": 2}, keys=["the", "long", "night", "long"])
 @example(phrases={"the": 1, "the long": 2}, keys=["the", "the", "long", "the"])
+@example(phrases={"the long night": 1, "night": 2}, keys=["night", "the", "long", "night"])
+@example(phrases={"a night": 1, "of the night": 2}, keys=["of", "the", "night", "a", "night"])
+# "night" at 0 is the anchor of a phrase that would start two words
+# before it: no start, and no wrap to the keys at the end.
+@example(phrases={"the long night": 1}, keys=["night", "x", "the", "long"])
 def test_phrase_matcher_find_equals_reference(phrases, keys):
     matcher = PhraseMatcher(phrases)
     assert list(matcher.find(keys)) == list(reference_find(matcher._root, keys))
@@ -884,13 +900,36 @@ def test_candidate_index_refuses_words_it_was_not_built_for():
 
 
 def test_start_words_know_their_parts_and_keep_no_cache():
-    assert StartWords.__slots__ == ("_parts", "_part_ids", "words")
+    assert StartWords.__slots__ == ("_parts", "_tables", "words", "bits")
     part = {"the", "free"}
-    starts = StartWords(part, frozenset({"7"}))
+    starts = StartWords(part, set(), frozenset({"7", "the"}))
     assert starts.covers(part)
     assert starts.covers({"the", "7"})  # a fresh subset of the union
     assert not starts.covers({"the", "x"})
     assert starts.words == frozenset({"the", "free", "7"})
+    # One bit per non-empty part, in order; a word holds the bits of its parts.
+    assert starts.bits == {"the": 0b11, "free": 0b01, "7": 0b10}
+
+
+def test_candidate_index_keeps_one_stage_byte_per_position():
+    keys = ("the", "free", "x", "7", "noon", "the")
+    parts = [{"the"}, {"free", "the"}, *({f"w{n}"} for n in range(6)), {"noon"}]
+    index = CandidateIndex(keys, StartWords(*parts), frozenset({"7"}))
+    assert index.positions == array("q", [0, 1, 3, 4, 5])
+    # "7" is a number key only, and "noon"'s part is the ninth: no bit.
+    assert index.codes == bytes([0b11, 0b10, 0, 0, 0b11])
+    assert list(index.among(parts[0])) == [0, 5]
+    assert list(index.among(parts[1])) == [0, 1, 5]
+    assert list(index.among(parts[8])) == [4]  # by a lookup per position
+    assert list(index.among(index.numbers)) == [3]
+
+
+def test_shipped_resources_anchor_phrases_on_their_longest_word():
+    # "the" starts "the long night" and "the emancipation proclamation",
+    # but anchors neither, and no phrase or entry starts at it.
+    words = load_resources(AnalysisConfig()).start_words.words
+    assert "the" not in words
+    assert {"night", "emancipation"} <= words
 
 
 def test_stages_refuse_an_index_built_for_another_stage():
@@ -901,12 +940,12 @@ def test_stages_refuse_an_index_built_for_another_stage():
     with pytest.raises(ValueError):
         tag_entities(doc, _TEST_GAZETTEER, index=power_only)
     # The tagger's start words, but not the document's number keys.
-    no_numbers = CandidateIndex(doc.keys, StartWords(_TEST_GAZETTEER.start_words))
+    no_numbers = CandidateIndex(doc.keys, StartWords(*_TEST_GAZETTEER.start_words))
     with pytest.raises(ValueError):
         tag_entities(doc, _TEST_GAZETTEER, index=no_numbers)
     numbers = frozenset(key for key in doc.keys if key is not None and is_number_key(key))
     both = CandidateIndex(
-        doc.keys, StartWords(_SENTIMENT_LEXICON.entries, _TEST_GAZETTEER.start_words), numbers
+        doc.keys, StartWords(_SENTIMENT_LEXICON.entries, *_TEST_GAZETTEER.start_words), numbers
     )
     assert analyze_sentiment(doc, _SENTIMENT_LEXICON, index=both) == analyze_sentiment(
         doc, _SENTIMENT_LEXICON
@@ -929,13 +968,26 @@ def test_no_date_start_word_is_a_number_key():
 )
 @example(phrases={"the long": 1}, keys=["the", "long", "the", "long"], masked={0}, extra=set())
 @example(phrases={"a": 1, "a the": 2}, keys=["a", "the", "a"], masked={1}, extra={"x"})
+@example(
+    phrases={"the long night": 1, "night": 2},
+    keys=["the", "long", "night", "night"], masked=set(), extra=set(),
+)
+@example(
+    phrases={"a night": 1, "the long night": 2},
+    keys=["the", "long", "night", "a", "night"], masked=set(), extra={"the"},
+)
+@example(
+    phrases={"the long night": 1}, keys=["night", "x", "the", "long"], masked=set(), extra=set()
+)
+# The anchor is claimed after the index was built: no start is tried.
+@example(phrases={"the long night": 1}, keys=["the", "long", "night"], masked={2}, extra=set())
 def test_find_with_a_candidate_index_equals_find_without(phrases, keys, masked, extra):
     # The index is built over the keys before any claim, against more
     # start words than the matcher's (as the union of every stage's is).
     # Keys masked after it was built (an earlier pass's claims) and while
     # ``find`` runs (its own claims) must both be seen.
     matcher = PhraseMatcher(phrases)
-    index = CandidateIndex(keys, StartWords(matcher.first_words, extra))
+    index = CandidateIndex(keys, StartWords(matcher.anchors, matcher.shifted, extra))
     live = [None if i in masked else key for i, key in enumerate(keys)]
     expected = list(reference_find(matcher._root, live))
     assert list(matcher.find(live, index=index)) == expected

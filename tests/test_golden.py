@@ -27,6 +27,18 @@ a text whose every sentence takes the tokenizer's non-ASCII path: a
 leading byte-order mark, curly quotes and apostrophes, accents in NFD
 form, ``½``, ``²`` and em dashes.  The sample corpus is pure ASCII.
 
+``tests/golden/analyze/common-words.json`` is the stdout of
+
+    powertext analyze tests/fixtures/common-words.txt \
+        --lexicon tests/fixtures/common-words.lexicon.csv \
+        --gazetteer tests/fixtures/common-words.gazetteer.txt \
+        --format structured
+
+a text dense in power terms and gazetteer surfaces led by "the", "of" and
+"a", which overlap and share anchor words at different offsets.  It was
+written while the phrase matchers still keyed each phrase on its first
+word, so equality shows that keying on the anchor changed no match.
+
 A change that means to alter these bytes regenerates them with those
 commands and says which bytes changed and why.
 """
@@ -45,6 +57,7 @@ MARKDOWN_DIR = GOLDEN_DIR / "markdown"
 MARKDOWN_NAMES = sorted(path.name for path in MARKDOWN_DIR.glob("*.md"))
 ONE_SENTENCE = Path(__file__).parent / "fixtures" / "one-sentence.txt"
 NON_ASCII = Path(__file__).parent / "fixtures" / "non-ascii.txt"
+COMMON_WORDS = Path(__file__).parent / "fixtures" / "common-words"
 
 
 def _corpus_run(out: Path, *flags: str) -> Path:
@@ -117,3 +130,14 @@ def test_non_ascii_analyze_matches_golden_bytes(capsysbinary, golden, flags):
     assert NON_ASCII.read_bytes().startswith("\ufeff".encode())
     assert main(["analyze", str(NON_ASCII), *flags]) == 0
     assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
+def test_phrases_led_by_common_words_match_golden_bytes(capsysbinary):
+    flags = [
+        "--lexicon", f"{COMMON_WORDS}.lexicon.csv",
+        "--gazetteer", f"{COMMON_WORDS}.gazetteer.txt",
+        "--format", "structured",
+    ]
+    assert main(["analyze", f"{COMMON_WORDS}.txt", *flags]) == 0
+    expected = (GOLDEN_DIR / "analyze" / "common-words.json").read_bytes()
+    assert capsysbinary.readouterr().out == expected

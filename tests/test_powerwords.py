@@ -134,11 +134,14 @@ def test_load_rejects_empty_lexicon_and_empty_terms():
 def test_build_matcher_rejects_an_empty_lexicon_and_returns_a_phrase_matcher():
     with pytest.raises(DataFileError):
         build_matcher(PowerLexicon(entries={}))
-    matcher = build_matcher(lexicon_from("free,Greed\nrisk free,Safety\n"))
+    matcher = build_matcher(lexicon_from("free,Greed\nrisk free,Safety\na bargain,Greed\n"))
     assert isinstance(matcher, PhraseMatcher)
-    # One object, so that a ``StartWords`` built from it knows it by identity.
-    assert matcher.first_words is matcher.first_words
-    assert matcher.first_words == frozenset({"free", "risk"})
+    # One object each, so that a ``StartWords`` built from them knows them
+    # by identity.  A phrase is anchored on its longest word, the leftmost
+    # on a tie.
+    assert matcher.anchors is matcher.anchors and matcher.shifted is matcher.shifted
+    assert matcher.anchors == frozenset({"free", "risk"})
+    assert matcher.shifted == {"bargain": (1,)}
 
 
 def test_load_rejects_overlong_phrases():
