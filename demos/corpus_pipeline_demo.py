@@ -5,7 +5,7 @@ genre-level averages, including the plot-ready flat rows."""
 import warnings
 
 from powertext import defaults
-from powertext.corpus import aggregate, load_corpus, load_manifest
+from powertext.corpus import aggregate, document_row, load_corpus, load_manifest
 from powertext.powerwords import PowerCategory
 from powertext.report import AnalysisConfig, analyze, load_resources
 
@@ -16,7 +16,7 @@ def main() -> None:
     manifest = load_manifest(defaults.data_path(defaults.CORPUS_MANIFEST_FILE))
     print(f"manifest: {len(manifest.entries)} documents")
 
-    reports = []
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short docs trip the small-sample note
         for item in load_corpus(manifest):
@@ -24,7 +24,7 @@ def main() -> None:
                 item.document, config, resources=resources,
                 extra_warnings=item.warnings,
             )
-            reports.append((report, item.genre))
+            rows.append(document_row(report, item.genre))
             print(
                 f"  {report.doc_id:18s} {item.genre:9s} "
                 f"{report.stats.word_count:5d} words"
@@ -33,7 +33,8 @@ def main() -> None:
 
     print(f"{'genre':10s} {'docs':>4s} {'ease':>7s} {'grade':>6s} "
           f"{'polarity':>9s} {'top category':>14s}")
-    for agg in aggregate(reports):
+    aggregates = aggregate(rows)
+    for agg in aggregates:
         top = max(agg.mean_distribution, key=agg.mean_distribution.get)
         print(
             f"{agg.genre:10s} {agg.document_count:4d} "
@@ -45,7 +46,7 @@ def main() -> None:
     print()
 
     print("plot-ready rows (genre, category, mean %):")
-    for agg in aggregate(reports):
+    for agg in aggregates:
         for category in PowerCategory:
             pct = agg.mean_distribution[category]
             if pct:

@@ -144,11 +144,13 @@ __all__ = [
     "CorpusManifest",
     "CorpusDocument",
     "GenreAggregate",
+    "DocumentRow",
     "strip_gutenberg_boilerplate",
     "strip_html",
     "load_manifest",
     "iter_corpus",
     "load_corpus",
+    "document_row",
     "aggregate",
     # reports
     "ALL_SECTIONS",

@@ -6,10 +6,10 @@ manifest and reports per-genre aggregates, optionally writing one
 report file per document into ``--out``.
 
 ``corpus`` streams: it reads, analyses and writes one document at a
-time and keeps only the three results per document that the genre
-means need, so its memory does not grow with the corpus and each
-report file appears as soon as its document is done.  The summary is
-written last.
+time and keeps only the row of scores per document that the genre
+means read (``corpus.document_row``), so its memory does not grow with
+the corpus and each report file appears as soon as its document is
+done.  The summary is written last.
 
 Exit codes: 0 success, 1 usage error, or standard output, an ``--out``
 directory or a report file that cannot be created or written (a reader
@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .defaults import (
@@ -39,8 +39,6 @@ from .defaults import (
     SENTIMENT_LEXICON_FILE,
 )
 from .errors import DataFileError, InputTextError
-from .powerwords import CategoryDistribution
-from .readability import ReadabilityReport
 from .report import (
     ALL_SECTIONS,
     AnalysisConfig,
@@ -51,11 +49,10 @@ from .report import (
     render_markdown,
     render_structured,
 )
-from .sentiment import SentimentScore
 from .textcore import build_document
 
 if TYPE_CHECKING:  # ``_cmd_corpus`` loads the corpus layer; ``analyze`` never does
-    from .corpus import GenreAggregate
+    from .corpus import DocumentRow, GenreAggregate
 
 __all__ = ["main", "build_parser"]
 
@@ -220,17 +217,8 @@ def _write_out(path: Path, data: bytes) -> None:
         raise _CannotWrite(path, exc) from exc
 
 
-class _AggregateRow(NamedTuple):
-    """What ``aggregate`` reads of one report, so the report and its
-    document can be dropped as soon as the report is written."""
-
-    readability: ReadabilityReport | None
-    power_distribution: CategoryDistribution | None
-    sentiment: SentimentScore | None
-
-
 def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
-    from .corpus import SUMMARY_ID, aggregate, iter_corpus, load_manifest
+    from .corpus import SUMMARY_ID, aggregate, document_row, iter_corpus, load_manifest
 
     manifest = load_manifest(args.manifest)
     resources = load_resources(config)
@@ -240,7 +228,7 @@ def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _CannotWrite(args.out, exc) from exc
-    rows: list[tuple[_AggregateRow, str]] = []
+    rows: list[DocumentRow] = []
     for item in documents:
         report = analyze(
             item.document, config, resources=resources, extra_warnings=item.warnings
@@ -248,8 +236,7 @@ def _cmd_corpus(args: argparse.Namespace, config: AnalysisConfig) -> int:
         if args.out is not None:
             extension, data = _render(report, args.format)
             _write_out(args.out / f"{report.doc_id}.{extension}", data)
-        row = _AggregateRow(report.readability, report.power_distribution, report.sentiment)
-        rows.append((row, item.genre))
+        rows.append(document_row(report, item.genre))
 
     extension, data = _render(aggregate(rows), args.format)
     if args.out is None:

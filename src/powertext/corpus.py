@@ -8,10 +8,10 @@ between the ``*** START OF`` / ``*** END OF`` marker lines, HTML reduced
 to text, plain text passed through — then tokenized into a Document.
 ``iter_corpus`` yields these one at a time, so a caller can analyse and
 drop each document before the next file is read; ``load_corpus`` is the
-list of them.  Aggregation averages per-document percentages and scores
-(mean of percentages, not pooled counts, so long texts don't dominate a
-genre); it reads only three fields of each report, so a caller need not
-keep the reports themselves.
+list of them.  ``document_row`` keeps what the genre summary reads of a
+report, so a caller need not keep the reports themselves; ``aggregate``
+averages the rows' per-document percentages and scores (mean of
+percentages, not pooled counts, so long texts don't dominate a genre).
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from math import fsum
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import (
-    IO, TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence,
-)
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataFileError, InputTextError
-from .powerwords import CategoryDistribution, PowerCategory
+from .powerwords import PowerCategory
 from .readability import READABILITY_INDICES
 from .textcore import DataLines, Document, build_document
 
@@ -40,11 +39,13 @@ __all__ = [
     "CorpusManifest",
     "CorpusDocument",
     "GenreAggregate",
+    "DocumentRow",
     "strip_gutenberg_boilerplate",
     "strip_html",
     "load_manifest",
     "iter_corpus",
     "load_corpus",
+    "document_row",
     "aggregate",
 ]
 
@@ -382,91 +383,84 @@ class GenreAggregate(NamedTuple):
     mean_subjectivity: float | None
 
 
-def _fmean(values: list[float]) -> float:
-    """The mean of ``values`` as ``statistics.fmean`` computes it."""
-    return fsum(values) / len(values)
+class DocumentRow(NamedTuple):
+    """What the genre summary reads of one report, so that the report and
+    its document can be dropped once the row is made.
 
-
-def _mean_or_none(
-    values: list, what: str, genre: str, mean: Callable[[list], Any] = _fmean
-) -> Any:
-    """``mean`` of ``values`` when every one is present, None when none is."""
-    present = [value for value in values if value is not None]
-    if not present:
-        return None
-    if len(present) != len(values):
-        raise InputTextError(
-            f"cannot aggregate {what} for genre {genre!r}: "
-            "present for some documents but not others"
-        )
-    return mean(present)
-
-
-def _mean_distribution(
-    distributions: list[CategoryDistribution],
-) -> dict[PowerCategory, float]:
-    return {
-        category: _fmean([d.percentages[category] for d in distributions])
-        for category in PowerCategory
-    }
-
-
-def aggregate(
-    reports: Sequence[tuple["AnalysisReport", str]]
-) -> list[GenreAggregate]:
-    """Genre-level means over per-document reports.
-
-    Only each report's ``readability``, ``power_distribution`` and
-    ``sentiment`` are read, so any object with those three attributes
-    serves in place of an ``AnalysisReport``.  Returns one aggregate per
-    genre present, in the fixed genre order.  Distribution averaging is
-    mean-of-percentages.  A section must be present for all documents of
-    a genre or absent for all of them.
+    Each section is a flat tuple of floats, or None when the section did
+    not run or could not score: the readability indices in
+    ``READABILITY_INDICES`` order, the category shares in
+    ``PowerCategory`` order, and ``(polarity, subjectivity)``.
     """
-    if not reports:
+
+    genre: str
+    readability: tuple[float, ...] | None
+    shares: tuple[float, ...] | None
+    sentiment: tuple[float, float] | None
+
+
+_READABILITY_SCORES = attrgetter(*(attr for attr, _key, _label, _grade in READABILITY_INDICES))
+_CATEGORY_SHARES = itemgetter(*PowerCategory)
+_SENTIMENT_SCORES = attrgetter("polarity", "subjectivity")
+# What a mixed-presence error names for each section of a row.
+_SECTION_NAMES = ("reading ease", "power distribution", "polarity")
+
+
+def document_row(report: "AnalysisReport", genre: str) -> DocumentRow:
+    """The row of one report: its genre and the scores the genre means read."""
+    readability, distribution, sentiment = (
+        report.readability, report.power_distribution, report.sentiment
+    )
+    return DocumentRow(
+        genre,
+        None if readability is None else _READABILITY_SCORES(readability),
+        None if distribution is None else _CATEGORY_SHARES(distribution.percentages),
+        None if sentiment is None else _SENTIMENT_SCORES(sentiment),
+    )
+
+
+def aggregate(rows: Sequence[DocumentRow]) -> list[GenreAggregate]:
+    """Genre-level means over the rows of per-document reports.
+
+    Returns one aggregate per genre present, in the fixed genre order.
+    Distribution averaging is mean-of-percentages.  A section must be
+    present for all documents of a genre or absent for all of them.
+    """
+    if not rows:
         raise InputTextError("cannot aggregate zero reports")
-    by_genre: dict[str, list["AnalysisReport"]] = {}
-    for report, genre in reports:
-        if genre not in GENRES:
-            raise InputTextError(f"unknown genre {genre!r}")
-        by_genre.setdefault(genre, []).append(report)
+    by_genre: dict[str, list[DocumentRow]] = {}
+    for row in rows:
+        if row.genre not in GENRES:
+            raise InputTextError(f"unknown genre {row.genre!r}")
+        by_genre.setdefault(row.genre, []).append(row)
 
     aggregates: list[GenreAggregate] = []
     for genre in GENRES:
         group = by_genre.get(genre)
         if not group:
             continue
-        readings = [r.readability for r in group]
-        scores = [r.sentiment for r in group]
-        reading_means = {
-            f"mean_{attr}": _mean_or_none(
-                [None if x is None else getattr(x, attr) for x in readings],
-                label.lower(),
-                genre,
-            )
-            for attr, _key, label, _grade in READABILITY_INDICES
-        }
+        n = len(group)
+        means: list[list[float] | None] = []
+        _genres, *sections = zip(*group)
+        for section, what in zip(sections, _SECTION_NAMES):
+            missing = section.count(None)
+            if missing == n:
+                means.append(None)
+            elif missing:
+                raise InputTextError(
+                    f"cannot aggregate {what} for genre {genre!r}: "
+                    "present for some documents but not others"
+                )
+            else:
+                means.append([fsum(column) / n for column in zip(*section)])
+        readability, shares, sentiment = means
         aggregates.append(
             GenreAggregate(
-                genre=genre,
-                document_count=len(group),
-                **reading_means,
-                mean_distribution=_mean_or_none(
-                    [r.power_distribution for r in group],
-                    "power distribution",
-                    genre,
-                    mean=_mean_distribution,
-                ),
-                mean_polarity=_mean_or_none(
-                    [None if x is None else x.polarity for x in scores],
-                    "polarity",
-                    genre,
-                ),
-                mean_subjectivity=_mean_or_none(
-                    [None if x is None else x.subjectivity for x in scores],
-                    "subjectivity",
-                    genre,
-                ),
+                genre,
+                n,
+                *(readability or [None] * len(READABILITY_INDICES)),
+                None if shares is None else dict(zip(PowerCategory, shares)),
+                *(sentiment or [None, None]),
             )
         )
     return aggregates

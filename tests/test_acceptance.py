@@ -21,6 +21,7 @@ from powertext import defaults
 from powertext.corpus import (
     WARN_MISSING_MARKERS,
     aggregate,
+    document_row,
     load_corpus,
     load_manifest,
     strip_gutenberg_boilerplate,
@@ -345,7 +346,7 @@ def _run_shipped_corpus():
                 extra_warnings=item.warnings,
             )
             reports.append((report, item.genre))
-    return reports, aggregate(reports)
+    return reports, aggregate([document_row(report, genre) for report, genre in reports])
 
 
 def test_criterion_6a_marketing_genre_argmax_is_greed():
@@ -414,7 +415,11 @@ def test_criterion_6b_aggregation_reproduces_hand_computed_means():
     )
 
     aggregates = aggregate(
-        [(report_a, "speech"), (report_b, "speech"), (report_c, "fiction")]
+        [
+            document_row(report_a, "speech"),
+            document_row(report_b, "speech"),
+            document_row(report_c, "fiction"),
+        ]
     )
     by_genre = {agg.genre: agg for agg in aggregates}
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import powertext
+from powertext import corpus
 from powertext.cli import main
 from powertext.corpus import load_manifest
 from powertext.defaults import CORPUS_MANIFEST_FILE, ENV_DATA_DIR, data_path
@@ -286,6 +287,25 @@ def test_corpus_structured_aggregates(data_dir, corpus_dir):
     assert payload["plot_rows"]
     marketing = payload["genres"][2]
     assert marketing["distribution"]["Greed"] > 0
+
+
+def test_corpus_calls_aggregate_once_through_its_module(data_dir, corpus_dir, monkeypatch, capsys):
+    # The benchmark times the genre summary by rebinding
+    # ``powertext.corpus.aggregate``; a command that bound the function
+    # early, or averaged the rows itself, would leave that layer at zero.
+    calls = []
+    real_aggregate = corpus.aggregate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real_aggregate(rows)
+
+    monkeypatch.setenv(ENV_DATA_DIR, str(data_dir))
+    monkeypatch.setattr(corpus, "aggregate", counted)
+    assert main(["corpus", str(corpus_dir / "manifest.csv"), "--format", "structured"]) == 0
+    assert calls == [3]
+    payload = json.loads(capsys.readouterr().out)
+    assert [genre["genre"] for genre in payload["genres"]] == ["fiction", "speech", "marketing"]
 
 
 def test_corpus_markdown(data_dir, corpus_dir):

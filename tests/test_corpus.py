@@ -10,13 +10,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertext.corpus import (
+    GENRES,
     CorpusManifest,
+    DocumentRow,
     GenreAggregate,
     ManifestEntry,
     WARN_MISSING_MARKERS,
     aggregate,
+    document_row,
     iter_corpus,
     load_corpus,
     load_manifest,
@@ -25,8 +30,10 @@ from powertext.corpus import (
 )
 from powertext.errors import DataFileError, InputTextError
 from powertext.powerwords import CategoryDistribution, PowerCategory
-from powertext.readability import ReadabilityReport
-from powertext.report import AnalysisConfig, AnalysisReport, analyze, load_resources
+from powertext.readability import READABILITY_INDICES, ReadabilityReport
+from powertext.report import (
+    AnalysisConfig, AnalysisReport, analyze, load_resources, render_structured,
+)
 from powertext.sentiment import SentimentScore
 from powertext.textcore import TextStats, build_document
 
@@ -715,7 +722,7 @@ def test_single_report_aggregates_to_itself():
         polarity=0.25,
         subjectivity=0.4,
     )
-    [agg] = aggregate([(report, "speech")])
+    [agg] = aggregate([document_row(report, "speech")])
     assert agg.genre == "speech"
     assert agg.document_count == 1
     assert agg.mean_flesch_reading_ease == 50.0
@@ -731,11 +738,11 @@ def test_single_report_aggregates_to_itself():
 
 
 def test_polarity_mean_of_two():
-    reports = [
-        (make_report(polarity=0.1, subjectivity=0.2), "fiction"),
-        (make_report(polarity=0.3, subjectivity=0.6), "fiction"),
+    rows = [
+        document_row(make_report(polarity=0.1, subjectivity=0.2), "fiction"),
+        document_row(make_report(polarity=0.3, subjectivity=0.6), "fiction"),
     ]
-    [agg] = aggregate(reports)
+    [agg] = aggregate(rows)
     assert agg.mean_polarity == pytest.approx(0.2)
     assert agg.mean_subjectivity == pytest.approx(0.4)
 
@@ -749,7 +756,7 @@ def test_identical_reports_aggregate_exactly():
         polarity=-0.125,
         subjectivity=0.5,
     )
-    [agg] = aggregate([(report, "marketing")] * 5)
+    [agg] = aggregate([document_row(report, "marketing")] * 5)
     assert agg.document_count == 5
     assert agg.mean_flesch_reading_ease == 33.3
     assert agg.mean_dale_chall == 39.3
@@ -764,23 +771,23 @@ def test_distribution_is_mean_of_percentages_not_pooled_counts():
     # roughly 91/9.  The former is the pinned behavior.
     a = make_report(dist=make_distribution({PowerCategory.GREED: 100.0}))
     b = make_report(dist=make_distribution({PowerCategory.ENCOURAGEMENT: 100.0}))
-    [agg] = aggregate([(a, "speech"), (b, "speech")])
+    [agg] = aggregate([document_row(a, "speech"), document_row(b, "speech")])
     assert agg.mean_distribution[PowerCategory.GREED] == pytest.approx(50.0)
     assert agg.mean_distribution[PowerCategory.ENCOURAGEMENT] == pytest.approx(50.0)
 
 
 def test_genre_output_order_is_fixed():
-    reports = [
-        (make_report(polarity=0.1, subjectivity=0.1), "marketing"),
-        (make_report(polarity=0.2, subjectivity=0.2), "fiction"),
-        (make_report(polarity=0.3, subjectivity=0.3), "speech"),
+    rows = [
+        document_row(make_report(polarity=0.1, subjectivity=0.1), "marketing"),
+        document_row(make_report(polarity=0.2, subjectivity=0.2), "fiction"),
+        document_row(make_report(polarity=0.3, subjectivity=0.3), "speech"),
     ]
-    aggregates = aggregate(reports)
+    aggregates = aggregate(rows)
     assert [agg.genre for agg in aggregates] == ["fiction", "speech", "marketing"]
 
 
 def test_absent_genres_are_omitted():
-    [agg] = aggregate([(make_report(polarity=0.0, subjectivity=0.0), "fiction")])
+    [agg] = aggregate([document_row(make_report(polarity=0.0, subjectivity=0.0), "fiction")])
     assert agg.genre == "fiction"
 
 
@@ -791,19 +798,29 @@ def test_empty_input_is_error():
 
 def test_unknown_genre_is_error():
     with pytest.raises(InputTextError, match="poetry"):
-        aggregate([(make_report(polarity=0.0, subjectivity=0.0), "poetry")])
+        aggregate([document_row(make_report(polarity=0.0, subjectivity=0.0), "poetry")])
 
 
-def test_mixed_section_presence_within_genre_is_error():
-    with_sentiment = make_report(polarity=0.5, subjectivity=0.5)
-    without_sentiment = make_report()
-    with pytest.raises(InputTextError, match="polarity"):
-        aggregate([(with_sentiment, "fiction"), (without_sentiment, "fiction")])
+@pytest.mark.parametrize(
+    ("section", "what"),
+    [
+        ({"readability": make_readability(10.0)}, "reading ease"),
+        ({"dist": make_distribution({PowerCategory.GREED: 100.0})}, "power distribution"),
+        ({"polarity": 0.5, "subjectivity": 0.5}, "polarity"),
+    ],
+    ids=["readability", "power", "sentiment"],
+)
+def test_mixed_section_presence_within_genre_is_error(section, what):
+    with_section = document_row(make_report(**section), "fiction")
+    without_section = document_row(make_report(), "fiction")
+    for rows in ([with_section, without_section], [without_section, with_section]):
+        with pytest.raises(InputTextError, match=f"cannot aggregate {what} for genre 'fiction'"):
+            aggregate(rows)
 
 
 def test_sections_absent_for_all_stay_none():
-    reports = [(make_report(), "fiction"), (make_report(), "fiction")]
-    [agg] = aggregate(reports)
+    rows = [document_row(make_report(), "fiction"), document_row(make_report(), "fiction")]
+    [agg] = aggregate(rows)
     assert agg.mean_flesch_reading_ease is None
     assert agg.mean_dale_chall is None
     assert agg.mean_distribution is None
@@ -812,11 +829,11 @@ def test_sections_absent_for_all_stay_none():
 
 
 def test_readability_means():
-    reports = [
-        (make_report(readability=make_readability(10.0)), "speech"),
-        (make_report(readability=make_readability(20.0)), "speech"),
+    rows = [
+        document_row(make_report(readability=make_readability(10.0)), "speech"),
+        document_row(make_report(readability=make_readability(20.0)), "speech"),
     ]
-    [agg] = aggregate(reports)
+    [agg] = aggregate(rows)
     assert agg.mean_flesch_reading_ease == pytest.approx(15.0)
     assert agg.mean_flesch_kincaid_grade == pytest.approx(16.0)
     assert agg.mean_smog_index == pytest.approx(17.0)
@@ -832,7 +849,7 @@ def test_mean_of_percentages_sums_to_100():
     rng = random.Random(2024)
     categories = list(PowerCategory)
     for _ in range(50):
-        reports = []
+        rows = []
         for _ in range(rng.randint(1, 6)):
             weights = [rng.random() + 1e-9 for _ in categories]
             total = sum(weights)
@@ -842,14 +859,14 @@ def test_mean_of_percentages_sums_to_100():
             }
             assert sum(shares.values()) == pytest.approx(100.0, abs=0.01)
             genre = rng.choice(["fiction", "speech", "marketing"])
-            reports.append((make_report(dist=make_distribution(shares)), genre))
-        for agg in aggregate(reports):
+            rows.append(document_row(make_report(dist=make_distribution(shares)), genre))
+        for agg in aggregate(rows):
             assert sum(agg.mean_distribution.values()) == pytest.approx(100.0, abs=0.1)
 
 
 def test_aggregate_is_deterministic():
-    reports = [
-        (
+    rows = [
+        document_row(
             make_report(
                 readability=make_readability(12.5),
                 dist=make_distribution(
@@ -860,7 +877,7 @@ def test_aggregate_is_deterministic():
             ),
             "marketing",
         ),
-        (
+        document_row(
             make_report(
                 readability=make_readability(47.5),
                 dist=make_distribution(
@@ -872,4 +889,71 @@ def test_aggregate_is_deterministic():
             "marketing",
         ),
     ]
-    assert aggregate(reports) == aggregate(list(reports))
+    assert aggregate(rows) == aggregate(list(rows))
+
+
+def test_document_row_holds_each_section_in_its_pinned_order():
+    doc = build_document(
+        "row",
+        "A bargain and a bonanza. We achieve amazing things and achieve them again. "
+        "It is certified and alluring. Abuse brings agony.",
+    )
+    report = analyze(doc, AnalysisConfig())
+    ease = report.readability
+    percentages = report.power_distribution.percentages
+    shares = tuple(
+        percentages[category]
+        for category in (
+            PowerCategory.GREED, PowerCategory.ENCOURAGEMENT, PowerCategory.SAFETY,
+            PowerCategory.ANGER, PowerCategory.LUST, PowerCategory.FEAR,
+            PowerCategory.FORBIDDEN,
+        )
+    )
+    assert len(set(shares)) > 2  # the order shows
+    assert document_row(report, "marketing") == DocumentRow(
+        genre="marketing",
+        readability=(
+            ease.flesch_reading_ease, ease.flesch_kincaid_grade, ease.smog_index,
+            ease.gunning_fog, ease.coleman_liau, ease.ari, ease.dale_chall,
+        ),
+        shares=shares,
+        sentiment=(report.sentiment.polarity, report.sentiment.subjectivity),
+    )
+    power_only = analyze(doc, AnalysisConfig(sections={"power"}))
+    assert document_row(power_only, "speech") == ("speech", None, shares, None)
+    assert document_row(make_report(), "fiction") == ("fiction", None, None, None)
+
+
+_SCORE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False)
+_SECTION_SIZES = (len(READABILITY_INDICES), len(PowerCategory), 2)
+
+
+@st.composite
+def _document_rows(draw):
+    """Rows of random genres whose sections are present in all or in none."""
+    present = [draw(st.booleans()) for _ in _SECTION_SIZES]
+    return [
+        DocumentRow(
+            genre,
+            *(
+                draw(st.tuples(*[_SCORE] * size)) if on else None
+                for on, size in zip(present, _SECTION_SIZES)
+            ),
+        )
+        for genre in draw(st.lists(st.sampled_from(GENRES), min_size=1, max_size=8))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=_document_rows())
+def test_summary_bytes_ignore_row_order_and_repetition(data, rows):
+    # ``fsum`` is correctly rounded, so neither the order of the rows nor
+    # listing each twice changes a mean.
+    summary = render_structured(aggregate(rows))
+    assert render_structured(aggregate(data.draw(st.permutations(rows)))) == summary
+    doubled = aggregate(rows * 2)
+    assert [agg.document_count for agg in doubled] == [
+        2 * agg.document_count for agg in aggregate(rows)
+    ]
+    halved = [agg._replace(document_count=agg.document_count // 2) for agg in doubled]
+    assert render_structured(halved) == summary

@@ -16,7 +16,9 @@ import pytest
 
 from powertext import textcore
 from powertext.candidates import StartWords
-from powertext.corpus import CorpusDocument, CorpusManifest, GenreAggregate, ManifestEntry
+from powertext.corpus import (
+    CorpusDocument, CorpusManifest, DocumentRow, GenreAggregate, ManifestEntry,
+)
 from powertext.entities import EntityLabel, Gazetteer, tag_entities
 from powertext.powerwords import (
     CategoryDistribution,
@@ -72,6 +74,12 @@ RECORDS = [
         "mean_coleman_liau=5.5, mean_ari=6.5, mean_dale_chall=7.5, "
         "mean_distribution={<PowerCategory.GREED: 'Greed'>: 100.0}, mean_polarity=0.25, "
         "mean_subjectivity=0.5)",
+    ),
+    (
+        DocumentRow,
+        ("speech", (1.5, 2.5), None, (0.25, 0.5)),
+        "DocumentRow(genre='speech', readability=(1.5, 2.5), shares=None, "
+        "sentiment=(0.25, 0.5))",
     ),
     (
         PowerLexicon,

@@ -16,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powertext
-from powertext.corpus import GenreAggregate, aggregate, load_corpus, load_manifest
+from powertext.corpus import (
+    GenreAggregate, aggregate, document_row, load_corpus, load_manifest,
+)
 from powertext.defaults import CORPUS_MANIFEST_FILE, data_path
 from powertext import textcore
 from powertext.entities import EntityLabel, EntitySpan, load_gazetteer, tag_entities
@@ -334,7 +336,7 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "[]", "11 []", "True False"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "13 []", "True False"]
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +483,14 @@ def make_agg_report(polarity, greed_share):
 
 
 def test_render_structured_aggregates():
-    reports = [
-        (make_agg_report(0.2, 70.0), "speech"),
-        (make_agg_report(0.4, 40.0), "speech"),
-        (make_agg_report(-0.1, 10.0), "fiction"),
+    document_rows = [
+        document_row(make_agg_report(0.2, 70.0), "speech"),
+        document_row(make_agg_report(0.4, 40.0), "speech"),
+        document_row(make_agg_report(-0.1, 10.0), "fiction"),
     ]
-    aggregates = aggregate(reports)
+    aggregates = aggregate(document_rows)
     blob = render_structured(aggregates)
-    assert blob == render_structured(aggregate(reports))  # deterministic
+    assert blob == render_structured(aggregate(document_rows))  # deterministic
     payload = json.loads(blob.decode("utf-8"))
     assert list(payload) == ["genres", "plot_rows"]
     assert [genre["genre"] for genre in payload["genres"]] == ["fiction", "speech"]
@@ -615,11 +617,11 @@ def test_markdown_header_and_trailing_newline():
 
 
 def test_corpus_markdown_contains_plot_table():
-    reports = [
-        (make_agg_report(0.2, 70.0), "speech"),
-        (make_agg_report(-0.1, 10.0), "fiction"),
+    rows = [
+        document_row(make_agg_report(0.2, 70.0), "speech"),
+        document_row(make_agg_report(-0.1, 10.0), "fiction"),
     ]
-    text = render_corpus_markdown(aggregate(reports))
+    text = render_corpus_markdown(aggregate(rows))
     assert text.startswith("# Corpus summary")
     assert "## fiction (1 documents)" in text
     assert "## speech (1 documents)" in text
@@ -631,11 +633,11 @@ def test_corpus_markdown_contains_plot_table():
 def test_corpus_markdown_of_readability_only_reports_shows_readability_alone():
     config = AnalysisConfig(sections=frozenset({"readability"}))
     text = "The bold plan was free. We liked it very much. It ended well. So did we."
-    reports = [
-        (analyze(build_document(f"doc-{genre}", text), config), genre)
+    rows = [
+        document_row(analyze(build_document(f"doc-{genre}", text), config), genre)
         for genre in ("speech", "fiction")
     ]
-    markdown = render_corpus_markdown(aggregate(reports))
+    markdown = render_corpus_markdown(aggregate(rows))
     assert "## fiction (1 documents)" in markdown and "## speech (1 documents)" in markdown
     assert markdown.count("| Metric | Mean score |") == 2
     assert "Mean share" not in markdown
@@ -652,7 +654,7 @@ def test_markdown_rounds_a_tiny_negative_polarity_to_zero_as_structured_does():
     text = render_markdown(report)
     assert "- Polarity: 0.00" in text
     assert "-0.00" not in text
-    (agg,) = aggregate([(make_agg_report(0.2, 70.0), "speech")])
+    (agg,) = aggregate([document_row(make_agg_report(0.2, 70.0), "speech")])
     tiny = agg._replace(mean_polarity=-1e-16, mean_subjectivity=-1e-16)
     corpus_text = render_corpus_markdown([tiny])
     assert "- Mean polarity: 0.00" in corpus_text
