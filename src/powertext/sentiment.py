@@ -5,11 +5,12 @@ the document's ``CandidateIndex``.  Every such token contributes its
 entry polarity, scaled by the intensity factor of an immediately
 preceding modifier ("very", "slightly", ...) and flipped-and-dampened by
 -0.5 when a negator appears within the three preceding word tokens;
-punctuation between them does not count, and they are found by searching
-the document's word flags.  The document score is the arithmetic mean of
-those contributions (so length alone cannot saturate it), clamped into
-range; a document with no lexicon hits scores exactly (0, 0).  The
-lexicon file is read by ``textcore.DataLines``.
+punctuation between them does not count.  They are read from the
+document's keys, where a punctuation token's key is ``None``.  The
+document score is the arithmetic mean of those contributions (so length
+alone cannot saturate it), clamped into range; a document with no
+lexicon hits scores exactly (0, 0).  The lexicon file is read by
+``textcore.DataLines``.
 """
 
 from __future__ import annotations
@@ -130,13 +131,21 @@ def _clamp(value: float, low: float, high: float) -> float:
     return min(high, max(low, value))
 
 
-def _words_before(keys: Sequence[str | None], is_word: bytearray, i: int) -> list[str]:
+def _words_before(keys: Sequence[str | None], i: int) -> Sequence[str]:
     """The keys of the last ``NEGATION_WINDOW`` word tokens before token
-    ``i`` (fewer at the start), nearest last.  Each is found by a C-level
-    search of the word flags, which skips the punctuation before it."""
-    words: list[str] = []
-    while len(words) < NEGATION_WINDOW and (i := is_word.rfind(1, 0, i)) >= 0:
-        words.insert(0, keys[i])
+    ``i`` (fewer at the start), nearest last: the keys just before it when
+    none of them is punctuation, else found by a walk back that skips it.
+    A token is walked by at most ``NEGATION_WINDOW`` later word tokens,
+    so the walks of a document are linear in its length."""
+    words = keys[max(i - NEGATION_WINDOW, 0) : i]
+    if None not in words:
+        return words
+    words = []
+    while len(words) < NEGATION_WINDOW and i > 0:
+        i -= 1
+        if keys[i] is not None:
+            words.append(keys[i])
+    words.reverse()
     return words
 
 
@@ -154,7 +163,7 @@ def analyze_sentiment(
     ``ValueError``); without one, the entries are found by a scan of the
     document's keys.
     """
-    keys, is_word = doc.keys, doc.tokens.is_word
+    keys = doc.keys
     entries, modifiers, negators = lex.entries, lex.modifiers, lex.negators
     if index is None:
         index = CandidateIndex(keys, StartWords(entries))
@@ -168,7 +177,7 @@ def analyze_sentiment(
             continue
         entry = entries[key]
         polarity = entry.polarity
-        before = _words_before(keys, is_word, i)
+        before = _words_before(keys, i)
         if before and before[-1] in modifiers:
             polarity *= modifiers[before[-1]]
         if not negators.isdisjoint(before):

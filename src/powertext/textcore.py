@@ -18,15 +18,17 @@ are deliberately small, explicit, and heavily tested:
 
 A ``Document`` is its id and its text; its sentence spans and tokens are
 derived from the text, so they always match it.  Its tokens are columns,
-not objects: ``Tokens`` keeps the token texts, start offsets and word
-flags in a list, an ``array('q')`` and a ``bytearray``, and builds
-``Token`` records only when it is iterated;
-the pipeline reads the columns.  A token's end offset is its start plus
-the length of its text, so it is computed where it is needed, never
-stored.  Equal token texts of one document are one string object, so
-the text column costs a pointer per token and one string per distinct
-text.  ``tokenize`` fills the columns from one regex scan, whose pattern
-is the whole token grammar: a text that is not ASCII is scanned through
+not objects: ``Tokens`` keeps the token texts and start offsets in a
+list and an ``array('q')``, and builds ``Token`` records only when it is
+iterated; the pipeline reads the columns.  A token's end offset is its
+start plus the length of its text, and whether it is a word is a rule
+about its text (its first character is a letter or digit), so neither
+is stored by ``tokenize``: the word flags are derived on first read, one
+rule call per distinct text, and the analysis never reads them.  Equal
+token texts of one document are one string object, so the text column
+costs a pointer per token and one string per distinct text.
+``tokenize`` fills the columns from one regex scan, whose pattern is the
+whole token grammar: a text that is not ASCII is scanned through
 a translation that gives each non-ASCII character a one-character
 stand-in for its class (letter or digit, combining mark, ``’``,
 whitespace, other), run by run where such characters are sparse.
@@ -49,7 +51,7 @@ fills ``Document.keys`` from those entries and sums the statistics from
 them.  Only the position-dependent part of the complex-word rule is
 applied per occurrence, in ``compute_stats``.  A bare ``Document``
 computes its own keys on first use, one ``normalize`` call per distinct
-token text.
+word text.
 
 Every lexicon stage reads the keys, and visits only candidates: power
 words, gazetteer surfaces and fixed date/time phrases all match through
@@ -76,7 +78,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import cached_property, lru_cache
-from itertools import compress, count, islice
+from itertools import compress, count, filterfalse, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -197,24 +199,36 @@ class Token(NamedTuple):
 
 
 class Tokens:
-    """A document's tokens, stored as three parallel columns.
+    """A document's tokens, stored as two parallel columns.
 
-    ``texts[i]``, ``starts[i]`` and ``is_word[i]`` are the fields of
-    token i: a list of strings, an ``array('q')`` of offsets and a
-    ``bytearray`` of 0/1 flags.  Its end offset, ``end(i)``, is not
-    stored: the text is the exact input from its start.
-    ``tokenize`` stores one string per distinct text, so equal texts are
-    the same object.  The columns are what the pipeline reads; iteration
-    builds one ``Token`` per token, in order.  Equal to a ``Tokens`` with
-    equal columns; unhashable, and must not be modified once built.
+    ``texts[i]`` and ``starts[i]`` are the text and start offset of
+    token i: a list of strings and an ``array('q')`` of offsets.  Its end
+    offset, ``end(i)``, is not stored: the text is the exact input from
+    its start.  ``is_word[i]``, a ``bytearray`` of 0/1 flags, is derived
+    from the texts on first read (``_word_text``, once per distinct
+    text) and kept.  ``tokenize`` stores one string per distinct text,
+    so equal texts are the same object.  The columns are what the
+    pipeline reads; iteration builds one ``Token`` per token, in order.
+    Equal to a ``Tokens`` with equal texts and starts, which the flags
+    follow from; unhashable, and must not be modified once built.
     """
 
-    __slots__ = ("texts", "starts", "is_word")
+    __slots__ = ("texts", "starts", "_is_word")
 
     def __init__(self) -> None:
         self.texts: list[str] = []
         self.starts = array("q")
-        self.is_word = bytearray()
+        self._is_word: bytearray | None = None
+
+    @property
+    def is_word(self) -> bytearray:
+        """The word flag of each token."""
+        flags = self._is_word
+        if flags is None:
+            distinct = set(self.texts)
+            word = dict(zip(distinct, map(_word_text, distinct)))
+            flags = self._is_word = bytearray(map(word.__getitem__, self.texts))
+        return flags
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -229,11 +243,7 @@ class Tokens:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Tokens):
-            return (
-                self.texts == other.texts
-                and self.starts == other.starts
-                and self.is_word == other.is_word
-            )
+            return self.texts == other.texts and self.starts == other.starts
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -284,12 +294,12 @@ class Document(Record):
 
         ``analyze`` fills it from its resources' ``WordTable``
         (``DocumentTypes.fill_keys``); on a bare document it is computed
-        on first use, one ``normalize`` call per distinct token text.
+        on first use, one ``normalize`` call per distinct word text.
         """
-        tokens = self.tokens
-        # A non-word text is never a word text, so it looks up ``None``.
-        memo = {text: normalize(text) for text in set(compress(tokens.texts, tokens.is_word))}
-        return tuple(map(memo.get, tokens.texts))
+        texts = self.tokens.texts
+        # A non-word text is left out, so it looks up ``None``.
+        memo = {text: normalize(text) for text in filter(_word_text, set(texts))}
+        return tuple(map(memo.get, texts))
 
 
 class PhraseMatcher:
@@ -400,9 +410,14 @@ class PhraseMatcher:
 def tokenizes_as_words(phrase: str) -> bool:
     """Whether each space-separated word of ``phrase`` tokenizes to exactly
     one word token (a byte-order mark is none); else it can never match."""
-    subject = phrase if phrase.isascii() else _with_stand_ins(phrase)
-    return all(
-        (match := _TOKEN.fullmatch(word)) and match.lastindex for word in subject.split(" ")
+    words = phrase.split(" ")
+    # Each stand-in is one character, so the pieces align with the words
+    # unless a stand-in space splits a word: then it is two tokens.
+    pieces = (phrase if phrase.isascii() else _with_stand_ins(phrase)).split(" ")
+    return (
+        len(pieces) == len(words)
+        and all(map(_TOKEN.fullmatch, pieces))
+        and all(map(_word_text, words))
     )
 
 
@@ -510,15 +525,24 @@ def _is_mark(ch: str) -> bool:
 
 
 # The token grammar, one token per match, over ASCII and the stand-ins of
-# ``_Classes``: a word sets group 1 (its text after the first character),
-# a run of punctuation no group.  ``\s`` is exactly ``str.isspace``.  The
-# pattern opens with a character class, so ``re`` skips whitespace with its
-# C prefix scan; the lookbehind then tells a word's first character.
+# ``_Classes``: a word, or a run of punctuation.  ``\s`` is exactly
+# ``str.isspace``.  The pattern opens with a character class, so ``re``
+# skips whitespace with its C prefix scan; the lookbehind then tells a
+# word's first character, as ``_word_text`` tells it from the token text.
 _TOKEN = re.compile(
     r"[^\s](?:"
-    r"(?<=[A-Za-z0-9\x81])([A-Za-z0-9\x80\x81]*(?:['\x82-][A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*)*)"
+    r"(?<=[A-Za-z0-9\x81])(?:[A-Za-z0-9\x80\x81]*(?:['\x82-][A-Za-z0-9\x81][A-Za-z0-9\x80\x81]*)*)"
     r"|[^\sA-Za-z0-9\x81]*)"
 )
+
+
+def _word_text(text: str) -> bool:
+    """Whether a token text is a word: its first character is a letter or
+    digit (``str.isalpha`` or ``str.isdigit``, which on ASCII are exactly
+    ``[A-Za-z0-9]``), the characters ``_Classes`` gives the stand-in
+    U+0081.  A punctuation token holds no such character."""
+    first = text[:1]
+    return first.isalpha() or first.isdigit()
 
 
 class _Classes(dict):
@@ -570,7 +594,6 @@ def _with_stand_ins(text: str) -> str:
 # well below its default first-generation threshold (700 allocations);
 # a larger one triggers a collection at almost every batch.
 _BATCH = 256
-_LASTINDEX = operator.attrgetter("lastindex")
 
 
 def tokenize(text: str) -> Tokens:
@@ -608,7 +631,6 @@ def tokenize(text: str) -> Tokens:
                 texts[k] = text[start:end]
         tokens.texts += map(share, texts, texts)
         tokens.starts.extend(map(re.Match.start, batch))
-        tokens.is_word.extend(map(bool, map(_LASTINDEX, batch)))
     return tokens
 
 
@@ -691,6 +713,7 @@ _COMPLEX_SUFFIXES = ("ing", "es", "ed")
 WordType = tuple[str, int, int, int, bool, bool, bool]
 _KEY = operator.itemgetter(0)
 _NUMBER = operator.itemgetter(6)
+_START = operator.itemgetter(0)
 
 
 def _word_type(
@@ -735,18 +758,23 @@ def _word_type(
     return key, letters, characters, syllables, is_complex, is_difficult, is_number_key(lower)
 
 
-def _sentence_initial_texts(doc: Document) -> Counter[str]:
-    """Occurrence counts of the texts of each sentence's first word token."""
-    tokens = doc.tokens
-    texts, starts, is_word = tokens.texts, tokens.starts, tokens.is_word
-    counts: Counter[str] = Counter()
-    k = 0
-    for start, end in doc.sentences:
-        k = is_word.find(1, bisect_left(starts, start, k))
-        if k < 0:
-            break
-        if starts[k] < end:
-            counts[texts[k]] += 1
+def _sentence_initial_texts(doc: Document, words: Mapping[str, int]) -> Counter[str]:
+    """Occurrence counts of the texts of each sentence's first word token;
+    ``words`` holds the document's word texts."""
+    texts, starts = doc.tokens.texts, doc.tokens.starts
+    sentences = doc.sentences
+    # A sentence starts at its first non-whitespace character, which
+    # starts a token: the sentence's first token.
+    firsts = list(map(bisect_left, repeat(starts), map(_START, sentences)))
+    first_texts = list(map(texts.__getitem__, firsts))
+    counts = Counter(filter(words.__contains__, first_texts))
+    # A sentence led by punctuation: its first word follows, if any.
+    for s in compress(count(), map(operator.not_, map(words.__contains__, first_texts))):
+        end = sentences[s][1]
+        for k in range(firsts[s] + 1, bisect_left(starts, end, firsts[s])):
+            if texts[k] in words:
+                counts[texts[k]] += 1
+                break
     return counts
 
 
@@ -816,7 +844,9 @@ class WordTable:
 
     def types(self, doc: Document) -> DocumentTypes:
         """The distinct word texts of ``doc`` with their entries."""
-        counts = Counter(compress(doc.tokens.texts, doc.tokens.is_word))
+        counts = Counter(doc.tokens.texts)
+        for text in list(filterfalse(_word_text, counts)):
+            del counts[text]
         cached = self._current()
         # The cached function directly, in C, unless a text is too long.
         fits = max(map(len, counts), default=0) <= _WORD_TABLE_TEXT_MAX
@@ -864,7 +894,7 @@ def compute_stats(doc: Document, types: DocumentTypes) -> TextStats:
     all-zero stats.  Each distinct token text's figures are multiplied by
     its occurrence count.
     """
-    sentence_initial = _sentence_initial_texts(doc)
+    sentence_initial = _sentence_initial_texts(doc, types.counts)
 
     word_count = 0
     syllable_count = 0

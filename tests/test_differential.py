@@ -416,6 +416,42 @@ def test_tokenize_equals_reference_either_side_of_the_sparse_threshold(text, spa
     assert list(tokenize(text)) == reference_tokenize(text)
 
 
+# The token pattern with its word branch made a capturing group, so that
+# a match's ``lastindex`` is the regex engine's own word decision.
+_WORD_BRANCH = r"(?<=[A-Za-z0-9\x81])(?:"
+_TOKEN_WITH_WORD_GROUP = re.compile(
+    textcore._TOKEN.pattern.replace(_WORD_BRANCH, _WORD_BRANCH[:-2], 1)
+)
+# NFD marks, curly and straight apostrophes, the stand-in code points
+# U+0080 to U+0083 themselves, the byte-order mark, ``½`` (numeric, not a
+# digit), ``²`` (a digit, not decimal), Hangul jamo, CJK ideographs and
+# punctuation, and ASCII letters, digits, joiners and punctuation.
+_WORD_RULE_ALPHABET = (
+    "aZ09'-.(\u2019\u0301\u0308\x80\x81\x82\x83\ufeff\u00bd\u00b2"
+    "\u1100\u1161\u11a8\u4e00\u6587\u3002\u300c \u3000\n"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=_WORD_RULE_ALPHABET, max_size=60))
+@example(text="a\ufeffb \ufeff \ufeffa x\ufeff")
+@example(text="½a 1½ ²x x² \u0301a a\u0301")
+@example(text="\x80\x81\x82\x83 a\x81 \x81a")
+@example(text="\u1100\u1161\u11a8 \u4e00\u6587\u3002 \u300c\u4e00")
+@example(text="\ufeff’a a’b ’")
+def test_word_text_is_the_token_patterns_own_word_decision(text):
+    assert _TOKEN_WITH_WORD_GROUP.groups == 1
+    subject = text if text.isascii() else textcore._with_stand_ins(text)
+    matches = list(_TOKEN_WITH_WORD_GROUP.finditer(subject, 1 if text.startswith("\ufeff") else 0))
+    tokens = tokenize(text)
+    assert list(tokens.starts) == [match.start() for match in matches]
+    decided = [match.lastindex is not None for match in matches]
+    assert list(map(textcore._word_text, tokens.texts)) == decided
+    assert [bool(flag) for flag in tokens.is_word] == decided
+    # A token text alone tokenizes as one word exactly when it is one.
+    assert list(map(textcore.tokenizes_as_words, tokens.texts)) == decided
+
+
 @settings(max_examples=500, deadline=None)
 @given(text=st.one_of(_sentence_texts, _texts))
 @example(text="Dr. King spoke. He left!\u201d Then 3 more.")
@@ -493,6 +529,63 @@ def test_stats_from_a_table_shared_across_documents_equal_reference(texts):
             assert compute_stats(doc, table.types(doc)) == reference_compute_stats(
                 doc, _FAMILIAR, exceptions
             )
+
+
+def per_sentence_complex_word_count(doc: Document, table: WordTable) -> int:
+    """Complex words counted sentence by sentence: a capitalized one only
+    when it is the first word token of its sentence."""
+    tokens = list(doc.tokens)
+    count = 0
+    for start, end in doc.sentences:
+        words = [tok.text for tok in tokens if start <= tok.start < end and tok.is_word]
+        for position, text in enumerate(words):
+            is_complex = table.entry(text)[4]
+            if is_complex and (position == 0 or not text[0].isupper()):
+                count += 1
+    return count
+
+
+# What may open a sentence: a word, or punctuation before one (``Ⓐ`` and
+# ``Ⅻ`` are capitals but neither letters nor digits, so they open a
+# sentence mid-text as punctuation tokens).
+_OPENERS = ("", "", "“", "(", '"', "‘", "— ", "( “", "...", "Ⓐ", "Ⅻ ", "Ⓐ“", "\ufeff")
+_SENTENCE_WORDS = (
+    "Declaration Independence declaration independence Everybody everybody "
+    "Interesting interesting Revolution revolution Unbelievable dedicated "
+    "Elizabeth the people It 1776"
+).split()
+_ENDS = (".", "!", "?", ".”", ").", "")
+
+
+@st.composite
+def _punctuation_led_sentences(draw) -> str:
+    """Sentences of complex words, capitalized or not, many of them opened
+    by punctuation tokens, and text led by a byte-order mark."""
+    sentences = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_OPENERS),
+                st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=5),
+                st.sampled_from(_ENDS),
+            ),
+            max_size=8,
+        )
+    )
+    lead = draw(st.sampled_from(("", "\ufeff", "\ufeff“", "  ")))
+    return lead + " ".join(opener + " ".join(words) + end for opener, words, end in sentences)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_punctuation_led_sentences())
+@example(text="“Declaration of Independence.” (Independence Day.) Ⓐ“Everybody came.")
+@example(text="\ufeff“Interesting times. Ⅻ Revolution. Ⅻ. Unbelievable")
+@example(text="\ufeffEverybody. (Everybody, everybody.")
+def test_complex_words_are_counted_from_each_sentences_first_word(text):
+    doc = build_document("t", text)
+    table = WordTable(_FAMILIAR, _EXCEPTIONS)
+    stats = compute_stats(doc, table.types(doc))
+    assert stats.complex_word_count == per_sentence_complex_word_count(doc, table)
+    assert stats == reference_compute_stats(doc, _FAMILIAR, _EXCEPTIONS)
 
 
 def test_word_table_stays_within_its_cap():

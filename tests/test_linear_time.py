@@ -5,7 +5,8 @@ stage that reads its input in linear time takes about four times as long
 on the larger text, a quadratic one about sixteen times; the guard fails
 above ``GROWTH_LIMIT``.  The units are the ones that have made a stage
 quadratic (runs of sentence terminators that no whitespace follows, and
-markup that never closes) and a seeded sample of two-piece units.
+markup that never closes), a sentiment entry after a run of punctuation
+tokens, and a seeded sample of two-piece units.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ _PIECES = [
     "-", "'", ",", "\ufeff", "Dr", "e.g", "<", "&", "*** START OF", "*** END OF",
 ]
 _SAMPLED_UNITS = random.Random(22).sample([a + b for a in _PIECES for b in _PIECES], 12)
-UNITS = [".", "?!", ".!", "a<", "<!--", '<a x="', *_SAMPLED_UNITS]
+# A sentiment entry whose negation window reaches back across a run of
+# punctuation tokens to the entries before it.
+_GOOD_AFTER_DOTS = "good" + " ." * 40 + " "
+UNITS = [".", "?!", ".!", "a<", "<!--", '<a x="', _GOOD_AFTER_DOTS, *_SAMPLED_UNITS]
 
 
 def _best_seconds(run: Callable[[object], object], arg: object) -> float:
@@ -100,6 +104,15 @@ def stages():
 @pytest.mark.parametrize("unit", UNITS, ids=repr)
 def test_each_stage_grows_linearly_on_a_repeated_unit(stages, unit):
     assert _growth_failures(stages, unit) == []
+
+
+def test_negation_window_grows_linearly_across_one_run_of_punctuation(stages):
+    # "good", a run of "." tokens, then "not very good.": the last entry's
+    # window walks back across the whole run, once.  A walk that widens a
+    # slice of the keys until it holds three words is quadratic in the run.
+    prepare, run = stages["analyze"]
+    stage = {"analyze": (lambda dots: prepare(f"good{dots} not very good."), run)}
+    assert _growth_failures(stage, " .") == []
 
 
 def test_strip_html_grows_linearly_on_unclosed_tags():

@@ -768,6 +768,33 @@ def test_stage_calls_on_a_bare_document_equal_the_sections_of_analyze():
         assert bare.keys == report.document.keys
 
 
+def test_analysis_leaves_the_word_flag_column_unbuilt(monkeypatch):
+    # Whether a token is a word follows from its text: the statistics read
+    # the document's word types, and the scans read the keys, so a report
+    # is made without the per-token flags ``Tokens.is_word`` derives.
+    reads = []
+    derived = textcore.Tokens.is_word
+
+    def counted(tokens):
+        reads.append(len(tokens))
+        return derived.fget(tokens)
+
+    monkeypatch.setattr(textcore.Tokens, "is_word", property(counted))
+    config = AnalysisConfig()
+    resources = load_resources(config)
+    fixture = Path(__file__).parent / "fixtures" / "non-ascii.txt"
+    for raw in (fixture.read_text(encoding="utf-8"), "“Not very good,” (she said). Good!"):
+        doc = build_document("d", raw)
+        report = analyze(doc, config, resources=resources)
+        render_structured(report)
+        render_markdown(report)
+        assert reads == []
+        # Read on demand, the flags are still there.
+        assert list(doc.tokens.is_word) == [tok.is_word for tok in doc.tokens]
+        assert reads and sum(doc.tokens.is_word) == report.stats.word_count
+        reads.clear()
+
+
 def test_each_word_text_is_normalized_by_the_first_document_that_has_it(monkeypatch):
     config = AnalysisConfig()
     resources = load_resources(config)

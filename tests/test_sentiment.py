@@ -188,6 +188,34 @@ def test_negation_window_counts_word_tokens_not_punctuation():
     assert score("not, great").polarity == pytest.approx(-0.4)
 
 
+@pytest.mark.parametrize(
+    "text, polarity",
+    [
+        # Punctuation tokens between a modifier or negator and its entry
+        # are skipped, however many there are.
+        ("not, good", 0.7 * -0.5),
+        ("very … calm", 0.3 * 1.5),
+        ("very ( — “calm", 0.3 * 1.5),
+        ("not . . . . . . very , good", 0.7 * 1.5 * -0.5),
+        ("not , so ; very . good", 0.7 * 1.5 * -0.5),
+        # Three word tokens back, punctuation skipped: "not" is a fourth.
+        ("not , quite , so , very , calm", 0.3 * 1.5),
+        # An entry at token 0, 1 and 2.
+        ("good", 0.7),
+        ("not good", 0.7 * -0.5),
+        ("not very good", 0.7 * 1.5 * -0.5),
+        (". not good", 0.7 * -0.5),
+        (". , good", 0.7),
+        # Only punctuation before the entry.
+        ("“ ( . . . — good", 0.7),
+    ],
+)
+def test_window_reads_word_tokens_across_punctuation(text, polarity):
+    result = score(text)
+    assert result.matched_terms == 1
+    assert result.polarity == pytest.approx(polarity)
+
+
 def test_modifier_scales_immediately_preceding_only():
     boosted = score("very calm")
     assert boosted.polarity == pytest.approx(0.3 * 1.5)

@@ -148,7 +148,8 @@ def test_tokens_hold_columns_and_build_token_views_on_demand():
     assert tokens.texts == ["Hi", ",", "you", "."]
     assert tokens.starts == array("q", [0, 2, 4, 7])
     assert tokens.is_word == bytearray([1, 0, 1, 0])
-    assert tokens.__slots__ == ("texts", "starts", "is_word")
+    # The flags are derived from the texts on first read, not stored by tokenize.
+    assert tokens.__slots__ == ("texts", "starts", "_is_word")
     assert [tok.end for tok in tokens] == [tokens.end(i) for i in range(4)] == [2, 3, 7, 8]
     assert len(tokens) == 4
     assert list(tokens) == [
@@ -172,6 +173,11 @@ def test_tokens_compare_equal_by_their_columns():
     assert tokens != list(tokens) and tokens != tuple(tokens)
     assert tokens != "Hi, you."
     assert tokenize("") == tokenize("  ") == Tokens() and not tokenize("  ")
+    # The flags follow from the texts: comparing never derives them, and
+    # the first read derives them once.
+    left, right = tokenize("Hi, you."), tokenize("Hi, you.")
+    assert left == right and left._is_word is None and right._is_word is None
+    assert left.is_word is left.is_word == bytearray([1, 0, 1, 0])
 
 
 def test_tokens_are_read_by_column_or_iteration_not_by_index():
