@@ -8,9 +8,11 @@ union of those keys for a set of loaded resources; a ``CandidateIndex``
 is the positions of one document whose key is in the union (the postings
 list of Manning, Raghavan & Schütze, *Introduction to Information
 Retrieval*, ch. 1), found by one C-level scan, with one stage byte per
-position whose bits name the stages' collections that hold its key.
-Each stage picks its positions from that short list by one
-``bytes.translate`` of the stage bytes instead of scanning every key.
+position whose bits name the stages' collections that hold its key:
+each collection owns one bit, so there are eight at most (the loaded
+resources have five).  Each stage picks its positions from that short
+list by one ``bytes.translate`` of the stage bytes instead of scanning
+every key; only the tagger's number keys are looked up per position.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ class StartWords:
 
     ``words`` is the union of its parts, the stages' collections of start
     words, against which a ``CandidateIndex`` scans a document's keys.
-    The first eight non-empty parts each own one bit of a stage byte:
-    ``bits`` maps each of their words to the bits of the parts that hold
-    it, built once.  ``covers(words)`` tells whether a stage's collection
-    lies inside the union: a part is known by its identity, any other
-    collection is tested.  Immutable, so safe to share between threads.
+    Each distinct part, known by its identity and empty or not, owns one
+    bit of a stage byte, so there are eight parts at most (more raise
+    ``ValueError``): ``bits`` maps each word to the bits of the parts that
+    hold it, built once.  Immutable, so safe to share between threads.
     """
 
     __slots__ = ("_parts", "_tables", "words", "bits")
@@ -43,15 +44,15 @@ class StartWords:
         self._tables: dict[int, bytes] = {}
         self.bits: dict[str, int] = {}
         for part in parts:
-            if part and len(self._tables) < 8 and id(part) not in self._tables:
-                shift = len(self._tables)
-                self._tables[id(part)] = bytes(code >> shift & 1 for code in range(256))
-                for word in part:
-                    self.bits[word] = self.bits.get(word, 0) | 1 << shift
+            if id(part) in self._tables:
+                continue
+            shift = len(self._tables)
+            if shift == 8:
+                raise ValueError("start words hold at most eight distinct parts")
+            self._tables[id(part)] = bytes(code >> shift & 1 for code in range(256))
+            for word in part:
+                self.bits[word] = self.bits.get(word, 0) | 1 << shift
         self.words = frozenset().union(*parts)
-
-    def covers(self, words: Collection[str]) -> bool:
-        return id(words) in self._tables or self.words.issuperset(words)
 
 
 class CandidateIndex:
@@ -65,12 +66,11 @@ class CandidateIndex:
     either, in order, ``keys`` holds their keys and ``codes`` their stage
     bytes.  A stage visits ``among(words)``, the positions whose key is
     in ``words``, so it filters this short list instead of scanning every
-    key: for a part of the start words, by its bit; for ``numbers`` or
-    another collection inside the start words, by a lookup per position.
-    Other words raise ``ValueError``, since the positions of their keys
-    were never kept.  The index keeps the keys as they were when it was
-    built, so a stage that masks keys while it runs re-reads the live key
-    at each position.
+    key: for a part of the start words, by its bit; for ``numbers``, by a
+    lookup per position.  Any other collection raises ``ValueError``,
+    even one equal to a part.  The index keeps the keys as they were when
+    it was built, so a stage that masks keys while it runs re-reads the
+    live key at each position.
     """
 
     __slots__ = ("positions", "keys", "codes", "starts", "numbers")
@@ -93,6 +93,6 @@ class CandidateIndex:
         table = self.starts._tables.get(id(words))
         if table is not None:
             return compress(self.positions, self.codes.translate(table))
-        if words is not self.numbers and not self.starts.covers(words):
+        if words is None or words is not self.numbers:
             raise ValueError("the candidate index was built for other start words")
         return compress(self.positions, map(words.__contains__, self.keys))

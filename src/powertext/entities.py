@@ -82,10 +82,10 @@ class Gazetteer(Record):
     The surfaces are compiled once, at construction, into a
     ``PhraseMatcher``.  ``start_words`` holds the collections of keys,
     number tokens aside, at which the tagger's passes can find a match:
-    the date start words, then the anchor words of the surfaces and of
-    the fixed phrases (``anchors`` and ``shifted`` of each matcher), the
-    parts of a ``StartWords``.  Only ``entries`` is a field: equality,
-    hash and ``repr`` ignore the derived two.
+    the date start words, then the ``anchors`` of the surfaces' matcher
+    and of the fixed phrases' matcher, three parts of a ``StartWords``.
+    Only ``entries`` is a field: equality, hash and ``repr`` ignore the
+    derived two.
     """
 
     _fields = ("entries",)
@@ -97,13 +97,7 @@ class Gazetteer(Record):
     def __init__(self, entries: Mapping[str, EntityLabel]) -> None:
         Record.__init__(self, entries)
         matcher = PhraseMatcher(entries)
-        starts = (
-            _DATE_START_WORDS,
-            matcher.anchors,
-            matcher.shifted,
-            _FIXED_PHRASES.anchors,
-            _FIXED_PHRASES.shifted,
-        )
+        starts = (_DATE_START_WORDS, matcher.anchors, _FIXED_PHRASES.anchors)
         vars(self).update(_matcher=matcher, start_words=starts)
 
 
@@ -133,7 +127,7 @@ _FIXED_PHRASES = PhraseMatcher(
 
 _YEAR_RANGE = range(1500, 2100)
 
-# Keys that can start a date other than a number token (which covers years).
+# Keys that can start a date other than a number token (years are numbers).
 _DATE_START_WORDS = frozenset(_MONTHS | _RELATIVE_DAYS | _WEEKDAYS)
 
 
@@ -318,11 +312,12 @@ def tag_entities(
 
     Pass order (earlier wins): dates, fixed date and time phrases,
     cardinals, then gazetteer longest-match.  Unmatched text is left
-    untagged.  ``index`` is the document's ``CandidateIndex`` when its
-    start words include ``gazetteer.start_words`` and its numbers are the
-    document's number keys (as ``analyze`` builds it); an index built for
-    other start words or without number keys raises ``ValueError``.
-    Without one, the tagger scans the document's keys for its own.
+    untagged.  ``index`` is the document's ``CandidateIndex`` when the
+    parts of its start words include ``gazetteer.start_words`` and its
+    numbers are the document's number keys (as ``analyze`` builds it);
+    an index built for other start words or without number keys raises
+    ``ValueError``.  Without one, the tagger scans the document's keys
+    for its own.
     """
     if index is None:
         distinct = set(doc.keys)

@@ -177,8 +177,8 @@ def scan(
     A phrase term matches only across consecutive word tokens (any
     non-word token, such as punctuation, breaks it).  A document with no
     matches yields all-zero counts (never an error).  ``index``, the
-    document's ``CandidateIndex`` with the matcher's anchor words among
-    its start words, saves a scan of every key.
+    document's ``CandidateIndex`` with the matcher's ``anchors`` among
+    the parts of its start words, saves a scan of every key.
     """
     starts, end = doc.tokens.starts, doc.tokens.end
     counts: dict[PowerCategory, int] = {category: 0 for category in PowerCategory}

@@ -149,8 +149,8 @@ class Resources(Record):
     first use, is the ``StartWords`` of the loaded data (the power
     matcher's anchor words, sentiment entries, the tagger's date start
     words and anchor words), against which ``analyze`` builds each
-    document's ``CandidateIndex``; it holds eight parts at most, one per
-    bit of the index's stage byte.
+    document's ``CandidateIndex``; each of its parts owns one bit of the
+    index's stage byte, five when every section is loaded.
     """
 
     _fields = ("word_table", "matcher", "sentiment_lexicon", "gazetteer")
@@ -173,7 +173,7 @@ class Resources(Record):
     def start_words(self) -> StartWords:
         parts = []
         if self.matcher is not None:
-            parts += self.matcher.anchors, self.matcher.shifted
+            parts.append(self.matcher.anchors)
         if self.sentiment_lexicon is not None:
             parts.append(self.sentiment_lexicon.entries)
         if self.gazetteer is not None:

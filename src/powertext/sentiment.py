@@ -158,8 +158,8 @@ def analyze_sentiment(
     the entry table, so "very" can boost a neighbor without scoring
     itself.  Results are clamped to polarity [-1, 1], subjectivity
     [0, 1]; zero matches yield exactly (0.0, 0.0).  ``index`` is the
-    document's ``CandidateIndex`` when its start words include the
-    entry terms (as ``analyze`` builds it; another index raises
+    document's ``CandidateIndex`` when the entry table is a part of its
+    start words (as ``analyze`` builds it; another index raises
     ``ValueError``); without one, the entries are found by a scan of the
     document's keys.
     """

@@ -313,23 +313,22 @@ class PhraseMatcher:
     A phrase is looked for at its anchor, its longest word (the leftmost
     on a tie): "the long night" at "night", not at each "the" (a phrase
     query run from its rarest term, Manning, Raghavan & Schütze, §2.4).
-    ``anchors`` holds the anchor words that begin their phrase and
-    ``shifted`` maps each other anchor word to its offsets in its phrases.
-    ``find`` filters their positions from a document's ``CandidateIndex``,
-    tries the phrase starts they give, in order, and walks the trie from
-    a start only when a phrase can end past its first word or at it.
+    ``anchors`` maps each anchor word to the sorted offsets at which it
+    sits in its phrases, 0 when it begins one.  ``find`` filters their
+    positions from a document's ``CandidateIndex``, tries the phrase
+    starts they give, in order, and walks the trie from a start only
+    when a phrase can end past its first word or at it.
     Phrases are a few words long, so each walk is short and the scan
     needs no failure links.  Immutable, so safe to share between threads.
     """
 
-    __slots__ = ("_root", "anchors", "shifted")
+    __slots__ = ("_root", "anchors")
 
     def __init__(self, phrases: Mapping[str, object]) -> None:
         # Each node maps a word to its child node; the node that ends a
         # phrase also maps ``None`` to that phrase's value.
         root: dict = {}
-        anchors = set()
-        shifted: dict[str, set[int]] = {}
+        anchors: dict[str, set[int]] = {}
         for phrase, value in phrases.items():
             words = phrase.split(" ")
             node = root
@@ -337,14 +336,9 @@ class PhraseMatcher:
                 node = node.setdefault(word, {})
             node[None] = value
             anchor = max(words, key=len)  # the first of the longest
-            offset = words.index(anchor)
-            if offset:
-                shifted.setdefault(anchor, set()).add(offset)
-            else:
-                anchors.add(anchor)
+            anchors.setdefault(anchor, set()).add(words.index(anchor))
         self._root = root
-        self.anchors = frozenset(anchors)
-        self.shifted = {word: tuple(sorted(offsets)) for word, offsets in shifted.items()}
+        self.anchors = {word: tuple(sorted(offsets)) for word, offsets in anchors.items()}
 
     def longest_at(self, keys: Sequence[str | None], i: int) -> tuple[int, object] | None:
         """``(stop, value)`` of the longest phrase that is exactly
@@ -368,9 +362,9 @@ class PhraseMatcher:
         """``(start, stop, value)`` of each leftmost-longest match, in
         order and non-overlapping: the scan resumes at each ``stop``.
 
-        ``index``, a ``CandidateIndex`` built over ``keys`` whose start
-        words include ``anchors`` and ``shifted``, gives the candidate
-        positions (an index built for other words raises ``ValueError``);
+        ``index``, a ``CandidateIndex`` built over ``keys`` with
+        ``anchors`` among the parts of its start words, gives the
+        candidate positions (another index raises ``ValueError``);
         without one, ``find`` builds its own from ``keys``.  A caller
         may set a yielded match's ``keys[start:stop]`` to ``None`` before
         asking for the next match, as the entity tagger's claims do, or
@@ -380,18 +374,15 @@ class PhraseMatcher:
         root = self._root
         last = len(keys) - 1
         stop = 0
-        shifted = self.shifted
+        anchors = self.anchors
         if index is None:
-            index = CandidateIndex(keys, StartWords(self.anchors, shifted))
-        starts = index.among(self.anchors)
-        if shifted:
-            # A phrase whose anchor sits ``offset`` words in starts that
-            # far before it; a masked anchor starts nothing, and a start
-            # before 0 is skipped as one before ``stop``.
-            starts = sorted([
-                *starts,
-                *(p - offset for p in index.among(shifted) for offset in shifted.get(keys[p], ())),
-            ])
+            index = CandidateIndex(keys, StartWords(anchors))
+        # A phrase whose anchor sits ``offset`` words in starts that far
+        # before it; a masked anchor starts nothing, and a start before 0
+        # is skipped as one before ``stop``.
+        starts = sorted(
+            [p - offset for p in index.among(anchors) for offset in anchors.get(keys[p], ())]
+        )
         for i in starts:
             if i < stop:
                 continue

@@ -21,12 +21,14 @@ well-formed HTML.
 from __future__ import annotations
 
 import html
+import itertools
 import random
 import re
 import string
 import unicodedata
 from array import array
 from html.parser import HTMLParser
+from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Iterator, Mapping, Sequence
 from unittest import mock
@@ -35,8 +37,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powertext.corpus import _BLOCK_TAGS, _NAMED_ENTITIES, strip_html
-from powertext.defaults import GAZETTEER_FILE, data_path
+from powertext.corpus import _BLOCK_TAGS, _NAMED_ENTITIES, load_corpus, load_manifest, strip_html
+from powertext.defaults import CORPUS_MANIFEST_FILE, GAZETTEER_FILE, data_path
 from powertext.entities import (
     _DATE_START_WORDS,
     _MONTHS,
@@ -971,49 +973,78 @@ def test_analyze_sentiment_equals_reference(text):
 
 def test_candidate_index_keeps_positions_in_an_array():
     keys = ("the", None, "free", "x", "the", "7")
-    index = CandidateIndex(keys, StartWords({"the", "free", "absent"}), frozenset({"7"}))
+    part, empty = {"the", "free", "absent"}, set()
+    index = CandidateIndex(keys, StartWords(part, empty), frozenset({"7"}))
     assert index.positions == array("q", [0, 2, 4, 5])
     assert index.keys == ["the", "free", "the", "7"]
-    assert list(index.among({"the", "free"})) == [0, 2, 4]
+    assert list(index.among(part)) == [0, 2, 4]
     assert list(index.among(index.numbers)) == [5]
-    assert list(index.among(frozenset())) == []
+    assert list(index.among(empty)) == []
 
 
 def test_candidate_index_refuses_words_it_was_not_built_for():
     # Positions of keys outside the start words were never kept, so asking
     # for them is an error, not an empty answer.
     keys = ("the", "x", "7")
-    index = CandidateIndex(keys, StartWords({"the"}, {"free"}), frozenset({"7"}))
+    the, free = {"the"}, {"free"}
+    index = CandidateIndex(keys, StartWords(the, free), frozenset({"7"}))
     with pytest.raises(ValueError):
         index.among({"the", "x"})
     with pytest.raises(ValueError):
         index.among({"the", "7"})  # a number key, but not ``numbers`` itself
-    assert list(index.among({"the", "free"})) == [0]
-    assert not StartWords({"the"}).covers({"x"})
+    assert list(index.among(the)) == [0]
+    assert list(index.among(free)) == []
+
+
+def test_candidate_index_knows_a_part_by_its_identity_alone():
+    # A part's positions are read from its bit, which only the part
+    # itself names: an equal copy, a subset of the union or the union of
+    # two parts is refused, as are number keys of an index without them.
+    the, free = {"the"}, {"free"}
+    starts = StartWords(the, free)
+    index = CandidateIndex(("the", "free", "7"), starts, frozenset({"7"}))
+    for words in (set(the), frozenset(the), {"the", "free"}, starts.words, frozenset({"7"})):
+        with pytest.raises(ValueError, match="built for other start words"):
+            index.among(words)
+    without_numbers = CandidateIndex(("the", "7"), starts)
+    with pytest.raises(ValueError, match="built for other start words"):
+        without_numbers.among(without_numbers.numbers)
 
 
 def test_start_words_know_their_parts_and_keep_no_cache():
     assert StartWords.__slots__ == ("_parts", "_tables", "words", "bits")
     part = {"the", "free"}
     starts = StartWords(part, set(), frozenset({"7", "the"}))
-    assert starts.covers(part)
-    assert starts.covers({"the", "7"})  # a fresh subset of the union
-    assert not starts.covers({"the", "x"})
     assert starts.words == frozenset({"the", "free", "7"})
-    # One bit per non-empty part, in order; a word holds the bits of its parts.
-    assert starts.bits == {"the": 0b11, "free": 0b01, "7": 0b10}
+    # One bit per distinct part, in order, an empty one included; a word
+    # holds the bits of its parts.
+    assert starts.bits == {"the": 0b101, "free": 0b001, "7": 0b100}
+
+
+def test_start_words_give_each_distinct_part_one_of_eight_bits():
+    parts = [{f"w{n}"} for n in range(9)]
+    assert len(StartWords(*parts[:8])._tables) == 8
+    with pytest.raises(ValueError, match="at most eight distinct parts"):
+        StartWords(*parts)
+    # A part passed again is the same part: it keeps its one bit.
+    again = StartWords(parts[0], *parts[:8], parts[7])
+    assert len(again._tables) == 8
+    assert again.bits == {f"w{n}": 1 << n for n in range(8)}
+    index = CandidateIndex(["w0", "w7", "w0"], again)
+    assert list(index.among(parts[0])) == [0, 2]
+    assert list(index.among(parts[7])) == [1]
 
 
 def test_candidate_index_keeps_one_stage_byte_per_position():
     keys = ("the", "free", "x", "7", "noon", "the")
-    parts = [{"the"}, {"free", "the"}, *({f"w{n}"} for n in range(6)), {"noon"}]
+    parts = [{"the"}, {"free", "the"}, *({f"w{n}"} for n in range(5)), {"noon"}]
     index = CandidateIndex(keys, StartWords(*parts), frozenset({"7"}))
     assert index.positions == array("q", [0, 1, 3, 4, 5])
-    # "7" is a number key only, and "noon"'s part is the ninth: no bit.
-    assert index.codes == bytes([0b11, 0b10, 0, 0, 0b11])
+    # "7" is a number key only, and "noon"'s part is the eighth: the top bit.
+    assert index.codes == bytes([0b11, 0b10, 0, 0b1000_0000, 0b11])
     assert list(index.among(parts[0])) == [0, 5]
     assert list(index.among(parts[1])) == [0, 1, 5]
-    assert list(index.among(parts[8])) == [4]  # by a lookup per position
+    assert list(index.among(parts[7])) == [4]
     assert list(index.among(index.numbers)) == [3]
 
 
@@ -1044,6 +1075,54 @@ def test_stages_refuse_an_index_built_for_another_stage():
         doc, _SENTIMENT_LEXICON
     )
     assert tag_entities(doc, _TEST_GAZETTEER, index=both) == tag_entities(doc, _TEST_GAZETTEER)
+
+
+@pytest.fixture(scope="module")
+def ten_documents():
+    """The nine shipped texts and the common-words fixture."""
+    items = load_corpus(load_manifest(data_path(CORPUS_MANIFEST_FILE)))
+    common = Path(__file__).parent / "fixtures" / "common-words.txt"
+    return [*(item.document for item in items), build_document("common", common.read_text())]
+
+
+def test_analyze_asks_the_index_only_for_its_own_parts_and_numbers(ten_documents, monkeypatch):
+    # A collection the index does not own is refused, so every stage must
+    # pass one of the parts it was built from, by identity, or its numbers.
+    resources = load_resources(AnalysisConfig())
+    parts = resources.start_words._parts
+    among = CandidateIndex.among
+    asked = []
+
+    def owned_among(index, words):
+        numbers = index.numbers is not None and words is index.numbers
+        asked.append(numbers or any(words is part for part in parts))
+        return among(index, words)
+
+    monkeypatch.setattr(CandidateIndex, "among", owned_among)
+    for doc in ten_documents:
+        analyze(doc, AnalysisConfig(), resources=resources)
+    assert len(parts) == 5
+    assert asked and all(asked)
+
+
+def test_the_sections_loaded_never_change_a_stages_output(ten_documents):
+    # Each loaded section adds its parts to the start words, so a stage's
+    # bit of the stage byte moves with the sections loaded.
+    fields = {"power": ("power", "power_distribution"), "sentiment": ("sentiment",),
+              "entities": ("entities",)}
+    full = [analyze(doc, AnalysisConfig(), resources=load_resources(AnalysisConfig()))
+            for doc in ten_documents]
+    for size in (1, 2, 3):
+        for sections in itertools.combinations(fields, size):
+            config = AnalysisConfig(sections=sections)
+            resources = load_resources(config)
+            for doc, expected in zip(ten_documents, full):
+                report = analyze(doc, config, resources=resources)
+                for field in itertools.chain.from_iterable(map(fields.get, sections)):
+                    assert getattr(report, field) == getattr(expected, field), (sections, field)
+    # Every stage finds something in every text, so no comparison is vacuous.
+    assert all(report.power.total and report.sentiment.matched_terms and report.entities
+               for report in full)
 
 
 def test_no_date_start_word_is_a_number_key():
@@ -1080,7 +1159,7 @@ def test_find_with_a_candidate_index_equals_find_without(phrases, keys, masked, 
     # Keys masked after it was built (an earlier pass's claims) and while
     # ``find`` runs (its own claims) must both be seen.
     matcher = PhraseMatcher(phrases)
-    index = CandidateIndex(keys, StartWords(matcher.anchors, matcher.shifted, extra))
+    index = CandidateIndex(keys, StartWords(matcher.anchors, extra))
     live = [None if i in masked else key for i, key in enumerate(keys)]
     expected = list(reference_find(matcher._root, live))
     assert list(matcher.find(live, index=index)) == expected

@@ -39,6 +39,18 @@ a text dense in power terms and gazetteer surfaces led by "the", "of" and
 written while the phrase matchers still keyed each phrase on its first
 word, so equality shows that keying on the anchor changed no match.
 
+``tests/golden/analyze/empty-stages.json`` is the stdout of
+
+    powertext analyze src/powertext/data/corpus/gettysburg.txt \
+        --gazetteer tests/fixtures/empty-stages.gazetteer.txt \
+        --sentiment tests/fixtures/empty-stages.sentiment.txt \
+        --format structured
+
+a gazetteer with a label but no surface and a sentiment lexicon with
+modifiers and negators but no scored term: two stages whose collections
+of start words are empty, so no term matches and only the date and
+number passes tag entities.
+
 A change that means to alter these bytes regenerates them with those
 commands and says which bytes changed and why.
 """
@@ -58,6 +70,7 @@ MARKDOWN_NAMES = sorted(path.name for path in MARKDOWN_DIR.glob("*.md"))
 ONE_SENTENCE = Path(__file__).parent / "fixtures" / "one-sentence.txt"
 NON_ASCII = Path(__file__).parent / "fixtures" / "non-ascii.txt"
 COMMON_WORDS = Path(__file__).parent / "fixtures" / "common-words"
+EMPTY_STAGES = Path(__file__).parent / "fixtures" / "empty-stages"
 
 
 def _corpus_run(out: Path, *flags: str) -> Path:
@@ -140,4 +153,15 @@ def test_phrases_led_by_common_words_match_golden_bytes(capsysbinary):
     ]
     assert main(["analyze", f"{COMMON_WORDS}.txt", *flags]) == 0
     expected = (GOLDEN_DIR / "analyze" / "common-words.json").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_stages_with_empty_collections_match_golden_bytes(capsysbinary):
+    flags = [
+        "--gazetteer", f"{EMPTY_STAGES}.gazetteer.txt",
+        "--sentiment", f"{EMPTY_STAGES}.sentiment.txt",
+        "--format", "structured",
+    ]
+    assert main(["analyze", str(data_path("corpus/gettysburg.txt")), *flags]) == 0
+    expected = (GOLDEN_DIR / "analyze" / "empty-stages.json").read_bytes()
     assert capsysbinary.readouterr().out == expected

@@ -136,12 +136,11 @@ def test_build_matcher_rejects_an_empty_lexicon_and_returns_a_phrase_matcher():
         build_matcher(PowerLexicon(entries={}))
     matcher = build_matcher(lexicon_from("free,Greed\nrisk free,Safety\na bargain,Greed\n"))
     assert isinstance(matcher, PhraseMatcher)
-    # One object each, so that a ``StartWords`` built from them knows them
-    # by identity.  A phrase is anchored on its longest word, the leftmost
-    # on a tie.
-    assert matcher.anchors is matcher.anchors and matcher.shifted is matcher.shifted
-    assert matcher.anchors == frozenset({"free", "risk"})
-    assert matcher.shifted == {"bargain": (1,)}
+    # One object, so that a ``StartWords`` built from it knows it by
+    # identity.  A phrase is anchored on its longest word, the leftmost on
+    # a tie, and the map holds the word's offsets in its phrases.
+    assert matcher.anchors is matcher.anchors
+    assert matcher.anchors == {"free": (0,), "risk": (0,), "bargain": (1,)}
 
 
 def test_load_rejects_overlong_phrases():

@@ -209,7 +209,7 @@ def test_gazetteer_copies_derive_the_matcher_and_start_words_again():
     for twin in (pickle.loads(pickle.dumps(gazetteer)), copy.copy(gazetteer)):
         assert twin.start_words == gazetteer.start_words
         # "york", the longest word, anchors the surface, one word in.
-        assert twin._matcher.shifted == {"york": (1,)}
+        assert twin._matcher.anchors == {"york": (1,)}
         words = StartWords(*twin.start_words).words
         assert "york" in words and "new" not in words
         assert tag_entities(doc, twin) == tag_entities(doc, gazetteer) != []
