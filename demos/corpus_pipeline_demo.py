@@ -35,20 +35,21 @@ def main() -> None:
           f"{'polarity':>9s} {'top category':>14s}")
     aggregates = aggregate(rows)
     for agg in aggregates:
-        top = max(agg.mean_distribution, key=agg.mean_distribution.get)
+        # Each section is a tuple of means in a pinned order: the
+        # readability indices, the categories, then polarity and subjectivity.
+        ease, grade, *_other_indices = agg.readability
+        shares = dict(zip(PowerCategory, agg.shares))
+        top = max(shares, key=shares.get)
+        polarity, _subjectivity = agg.sentiment
         print(
             f"{agg.genre:10s} {agg.document_count:4d} "
-            f"{agg.mean_flesch_reading_ease:7.2f} "
-            f"{agg.mean_flesch_kincaid_grade:6.2f} "
-            f"{agg.mean_polarity:+9.3f} "
-            f"{top.value:>14s}"
+            f"{ease:7.2f} {grade:6.2f} {polarity:+9.3f} {top.value:>14s}"
         )
     print()
 
     print("plot-ready rows (genre, category, mean %):")
     for agg in aggregates:
-        for category in PowerCategory:
-            pct = agg.mean_distribution[category]
+        for category, pct in zip(PowerCategory, agg.shares):
             if pct:
                 print(f"  {agg.genre},{category.value},{pct:.2f}")
 

@@ -11,7 +11,8 @@ drop each document before the next file is read; ``load_corpus`` is the
 list of them.  ``document_row`` keeps what the genre summary reads of a
 report, so a caller need not keep the reports themselves; ``aggregate``
 averages the rows' per-document percentages and scores (mean of
-percentages, not pooled counts, so long texts don't dominate a genre).
+percentages, not pooled counts, so long texts don't dominate a genre)
+into one ``GenreAggregate`` per genre, whose sections are the rows'.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import unicodedata
 from math import fsum
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import DataFileError, InputTextError
 from .powerwords import PowerCategory
@@ -363,26 +364,6 @@ def _load_entry(entry: ManifestEntry) -> CorpusDocument:
 # ---------------------------------------------------------------------------
 
 
-class GenreAggregate(NamedTuple):
-    """Arithmetic means of every per-document metric within one genre.
-
-    Sections that were disabled for all of the genre's reports are None.
-    """
-
-    genre: str
-    document_count: int
-    mean_flesch_reading_ease: float | None
-    mean_flesch_kincaid_grade: float | None
-    mean_smog_index: float | None
-    mean_gunning_fog: float | None
-    mean_coleman_liau: float | None
-    mean_ari: float | None
-    mean_dale_chall: float | None
-    mean_distribution: Mapping[PowerCategory, float] | None
-    mean_polarity: float | None
-    mean_subjectivity: float | None
-
-
 class DocumentRow(NamedTuple):
     """What the genre summary reads of one report, so that the report and
     its document can be dropped once the row is made.
@@ -394,6 +375,19 @@ class DocumentRow(NamedTuple):
     """
 
     genre: str
+    readability: tuple[float, ...] | None
+    shares: tuple[float, ...] | None
+    sentiment: tuple[float, float] | None
+
+
+class GenreAggregate(NamedTuple):
+    """The means of one genre, in the shape of its rows: each section is
+    the column means of that ``DocumentRow`` section, in its order, or
+    None when the section ran for none of the genre's documents.
+    """
+
+    genre: str
+    document_count: int
     readability: tuple[float, ...] | None
     shares: tuple[float, ...] | None
     sentiment: tuple[float, float] | None
@@ -440,9 +434,9 @@ def aggregate(rows: Sequence[DocumentRow]) -> list[GenreAggregate]:
         if not group:
             continue
         n = len(group)
-        means: list[list[float] | None] = []
+        means: list[tuple[float, ...] | None] = []
         _genres, *sections = zip(*group)
-        for section, what in zip(sections, _SECTION_NAMES):
+        for section, what in zip(sections, _SECTION_NAMES, strict=True):
             missing = section.count(None)
             if missing == n:
                 means.append(None)
@@ -452,15 +446,6 @@ def aggregate(rows: Sequence[DocumentRow]) -> list[GenreAggregate]:
                     "present for some documents but not others"
                 )
             else:
-                means.append([fsum(column) / n for column in zip(*section)])
-        readability, shares, sentiment = means
-        aggregates.append(
-            GenreAggregate(
-                genre,
-                n,
-                *(readability or [None] * len(READABILITY_INDICES)),
-                None if shares is None else dict(zip(PowerCategory, shares)),
-                *(sentiment or [None, None]),
-            )
-        )
+                means.append(tuple(fsum(column) / n for column in zip(*section)))
+        aggregates.append(GenreAggregate(genre, n, *means))
     return aggregates

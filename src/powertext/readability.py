@@ -222,9 +222,9 @@ class ReadabilityReport(NamedTuple):
     smog_low_sample: bool = False
 
 
-# The seven indices in report order: the ReadabilityReport attribute (a
-# genre aggregate holds its mean as ``mean_<attribute>``), the structured
-# key, the markdown label, and whether markdown shows the score as a grade.
+# The seven indices in report order, the order of a genre aggregate's
+# readability means: the ReadabilityReport attribute, the structured key,
+# the markdown label, and whether markdown shows the score as a grade.
 READABILITY_INDICES = (
     ("flesch_reading_ease", "reading_ease", "Reading ease", False),
     ("flesch_kincaid_grade", "reading_level", "Reading level", True),

@@ -15,7 +15,10 @@ straight from the report's fields: each match or entity row fills one
 template, and each distinct string is encoded once;
 ``render_markdown`` emits the human-readable view — a two-column metric
 table, a category distribution table, sentiment lines, and the annotated
-text.
+text.  The genre summary, a list of ``corpus.GenreAggregate``s, whose
+sections are tuples of means in a pinned order, renders through
+``render_structured`` (each section's keys from one table) or
+``render_corpus_markdown``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .defaults import (
     FAMILIAR_WORDS_FILE,
@@ -91,6 +94,14 @@ _STATS_FIELDS = (
 
 # Sections that read the candidate index.
 _INDEXED_SECTIONS = frozenset(("power", "sentiment", "entities"))
+
+# The structured name and the keys of each section of a genre aggregate,
+# in the order of the means it holds.
+_AGGREGATE_SECTIONS = (
+    ("readability", tuple(key for _attr, key, _label, _grade in READABILITY_INDICES)),
+    ("distribution", tuple(cat.value for cat in PowerCategory)),
+    ("sentiment", ("polarity", "subjectivity")),
+)
 
 WARN_SMOG_LOW_SAMPLE = "smog-low-sample"
 WARN_EMPTY_DISTRIBUTION = "power-distribution-empty"
@@ -388,23 +399,13 @@ _ENTITY_ROW = (
 )
 
 
-def _indices(source, prefix: str = "") -> list[tuple[str, str]]:
-    """The seven readability scores of a report, or of an aggregate's
-    ``mean_`` fields."""
-    return [
-        (key, _number(getattr(source, prefix + attr)))
-        for attr, key, _label, _grade in READABILITY_INDICES
-    ]
-
-
-def _shares(percentages: Mapping[PowerCategory, float], depth: int) -> str:
-    return _object([(cat.value, _number(percentages[cat])) for cat in PowerCategory], depth)
-
-
 def _readability_json(report: ReadabilityReport | None) -> str:
     if report is None:
         return "null"
-    pairs = _indices(report)
+    pairs = [
+        (key, _number(getattr(report, attr)))
+        for attr, key, _label, _grade in READABILITY_INDICES
+    ]
     pairs.insert(1, ("reading_ease_label", _string(report.ease_label)))  # after reading_ease
     pairs.append(("text_standard", _string(report.text_standard)))
     return _object(pairs, 1)
@@ -419,10 +420,11 @@ def _power_json(hits: PowerWordHits | None, dist: CategoryDistribution | None) -
         for term, category, start, end in hits.matches
     ]
     counts = [(cat.value, "%d" % hits.counts[cat]) for cat in PowerCategory]
+    shares = [(cat.value, _number(dist.percentages[cat])) for cat in PowerCategory]
     pairs = [
         ("counts", _object(counts, 2)),
         ("total", "%d" % hits.total),
-        ("distribution", _shares(dist.percentages, 2)),
+        ("distribution", _object(shares, 2)),
         ("matches", _array(rows, 2)),
     ]
     return _object(pairs, 1)
@@ -468,30 +470,12 @@ def _report_json(report: AnalysisReport) -> str:
 
 
 def _aggregate_json(agg: GenreAggregate) -> str:
-    readability = distribution = sentiment = "null"
-    if agg.mean_flesch_reading_ease is not None:
-        readability = _object(_indices(agg, "mean_"), 3)
-    if agg.mean_distribution is not None:
-        distribution = _shares(agg.mean_distribution, 3)
-    if agg.mean_polarity is not None:
-        means = (("polarity", agg.mean_polarity), ("subjectivity", agg.mean_subjectivity))
-        sentiment = _object([(key, _number(mean)) for key, mean in means], 3)
-    pairs = [
-        ("genre", _string(agg.genre)),
-        ("documents", "%d" % agg.document_count),
-        ("readability", readability),
-        ("distribution", distribution),
-        ("sentiment", sentiment),
-    ]
-    return _object(pairs, 2)
-
-
-def _plot_row(agg: GenreAggregate, category: PowerCategory) -> str:
-    pairs = [
-        ("genre", _string(agg.genre)),
-        ("category", _string(category.value)),
-        ("percentage", _number(agg.mean_distribution[category])),
-    ]
+    pairs = [("genre", _string(agg.genre)), ("documents", "%d" % agg.document_count)]
+    for (name, keys), means in zip(_AGGREGATE_SECTIONS, agg[2:], strict=True):
+        if means is None:
+            pairs.append((name, "null"))
+        else:
+            pairs.append((name, _object(zip(keys, map(_number, means), strict=True), 3)))
     return _object(pairs, 2)
 
 
@@ -511,10 +495,17 @@ def render_structured(payload: AnalysisReport | Sequence[GenreAggregate]) -> byt
     else:
         aggregates = list(payload)
         plot_rows = [
-            _plot_row(agg, cat)
+            _object(
+                [
+                    ("genre", _string(agg.genre)),
+                    ("category", _string(cat.value)),
+                    ("percentage", _number(share)),
+                ],
+                2,
+            )
             for agg in aggregates
-            if agg.mean_distribution is not None
-            for cat in PowerCategory
+            if agg.shares is not None
+            for cat, share in zip(PowerCategory, agg.shares, strict=True)
         ]
         genres = _array([_aggregate_json(agg) for agg in aggregates], 1)
         body = _object([("genres", genres), ("plot_rows", _array(plot_rows, 1))], 0)
@@ -618,33 +609,36 @@ def render_corpus_markdown(aggregates: Sequence[GenreAggregate]) -> str:
     lines: list[str] = ["# Corpus summary", ""]
     for agg in aggregates:
         lines += [f"## {agg.genre} ({agg.document_count} documents)", ""]
-        if agg.mean_flesch_reading_ease is not None:
+        if agg.readability is not None:
             rows = [
-                (label, _fmt_index(getattr(agg, f"mean_{attr}"), grade))
-                for attr, _key, label, grade in READABILITY_INDICES
+                (label, _fmt_index(mean, grade))
+                for (_attr, _key, label, grade), mean in zip(
+                    READABILITY_INDICES, agg.readability, strict=True
+                )
             ]
             lines += _table(("Metric", "Mean score"), rows)
             lines.append("")
-        if agg.mean_distribution is not None:
+        if agg.shares is not None:
             rows = [
-                (cat.value, f"{agg.mean_distribution[cat]:.2f}%")
-                for cat in PowerCategory
+                (cat.value, f"{share:.2f}%")
+                for cat, share in zip(PowerCategory, agg.shares, strict=True)
             ]
             lines += _table(("Category", "Mean share"), rows)
             lines.append("")
-        if agg.mean_polarity is not None:
+        if agg.sentiment is not None:
+            polarity, subjectivity = agg.sentiment
             lines += [
-                f"- Mean polarity: {_r2(agg.mean_polarity):.2f}",
-                f"- Mean subjectivity: {_r2(agg.mean_subjectivity):.2f}",
+                f"- Mean polarity: {_r2(polarity):.2f}",
+                f"- Mean subjectivity: {_r2(subjectivity):.2f}",
                 "",
             ]
-    with_distribution = [a for a in aggregates if a.mean_distribution is not None]
-    if with_distribution:
+    with_shares = [agg for agg in aggregates if agg.shares is not None]
+    if with_shares:
         lines += ["## Distribution by genre (plot data)", ""]
         rows = [
-            (agg.genre, cat.value, f"{agg.mean_distribution[cat]:.2f}")
-            for agg in with_distribution
-            for cat in PowerCategory
+            (agg.genre, cat.value, f"{share:.2f}")
+            for agg in with_shares
+            for cat, share in zip(PowerCategory, agg.shares, strict=True)
         ]
         lines += _table(("Genre", "Category", "Percentage"), rows)
         lines.append("")

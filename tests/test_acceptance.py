@@ -352,11 +352,10 @@ def _run_shipped_corpus():
 def test_criterion_6a_marketing_genre_argmax_is_greed():
     _reports, aggregates = _run_shipped_corpus()
     marketing = next(agg for agg in aggregates if agg.genre == "marketing")
-    assert marketing.mean_distribution is not None
-    top = max(marketing.mean_distribution, key=marketing.mean_distribution.get)
-    assert top is PowerCategory.GREED, (
-        f"marketing argmax was {top.value}: {marketing.mean_distribution}"
-    )
+    assert marketing.shares is not None
+    shares = dict(zip(PowerCategory, marketing.shares))
+    top = max(shares, key=shares.get)
+    assert top is PowerCategory.GREED, f"marketing argmax was {top.value}: {shares}"
 
 
 def _hand_report(
@@ -425,26 +424,26 @@ def test_criterion_6b_aggregation_reproduces_hand_computed_means():
 
     speech = by_genre["speech"]
     assert speech.document_count == 2
-    assert speech.mean_flesch_reading_ease == (70.0 + 60.0) / 2
-    assert speech.mean_flesch_kincaid_grade == (8.25 + 9.75) / 2
-    assert speech.mean_smog_index == (10.5 + 11.5) / 2
-    assert speech.mean_gunning_fog == (9.75 + 10.25) / 2
-    assert speech.mean_coleman_liau == (7.5 + 8.5) / 2
-    assert speech.mean_ari == (8.0 + 10.0) / 2
-    assert speech.mean_dale_chall == (6.5 + 7.5) / 2
-    assert speech.mean_distribution[PowerCategory.GREED] == (75.0 + 25.0) / 2
-    assert speech.mean_distribution[PowerCategory.ENCOURAGEMENT] == 25.0
-    assert speech.mean_distribution[PowerCategory.SAFETY] == (0.0 + 50.0) / 2
-    assert speech.mean_distribution[PowerCategory.FEAR] == 0.0
-    assert speech.mean_polarity == (0.25 + 0.75) / 2
-    assert speech.mean_subjectivity == (0.5 + 1.0) / 2
+    ease, fk, smog, fog, cl, ari, dc = speech.readability
+    assert ease == (70.0 + 60.0) / 2
+    assert fk == (8.25 + 9.75) / 2
+    assert smog == (10.5 + 11.5) / 2
+    assert fog == (9.75 + 10.25) / 2
+    assert cl == (7.5 + 8.5) / 2
+    assert ari == (8.0 + 10.0) / 2
+    assert dc == (6.5 + 7.5) / 2
+    shares = dict(zip(PowerCategory, speech.shares, strict=True))
+    assert shares[PowerCategory.GREED] == (75.0 + 25.0) / 2
+    assert shares[PowerCategory.ENCOURAGEMENT] == 25.0
+    assert shares[PowerCategory.SAFETY] == (0.0 + 50.0) / 2
+    assert shares[PowerCategory.FEAR] == 0.0
+    assert speech.sentiment == ((0.25 + 0.75) / 2, (0.5 + 1.0) / 2)
 
     fiction = by_genre["fiction"]
     assert fiction.document_count == 1
-    assert fiction.mean_flesch_kincaid_grade == 12.0
-    assert fiction.mean_distribution[PowerCategory.FEAR] == 100.0
-    assert fiction.mean_polarity == -0.5
-    assert fiction.mean_subjectivity == 0.25
+    assert fiction.readability[1] == 12.0
+    assert dict(zip(PowerCategory, fiction.shares))[PowerCategory.FEAR] == 100.0
+    assert fiction.sentiment == (-0.5, 0.25)
 
 
 def test_criterion_6c_two_runs_produce_byte_identical_structured_output():

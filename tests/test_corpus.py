@@ -32,7 +32,8 @@ from powertext.errors import DataFileError, InputTextError
 from powertext.powerwords import CategoryDistribution, PowerCategory
 from powertext.readability import READABILITY_INDICES, ReadabilityReport
 from powertext.report import (
-    AnalysisConfig, AnalysisReport, analyze, load_resources, render_structured,
+    _AGGREGATE_SECTIONS, AnalysisConfig, AnalysisReport, analyze, load_resources,
+    render_structured,
 )
 from powertext.sentiment import SentimentScore
 from powertext.textcore import TextStats, build_document
@@ -683,6 +684,10 @@ def make_readability(base: float) -> ReadabilityReport:
     )
 
 
+def shares_of(agg: GenreAggregate) -> dict[PowerCategory, float]:
+    return dict(zip(PowerCategory, agg.shares, strict=True))
+
+
 def make_distribution(shares: dict[PowerCategory, float]) -> CategoryDistribution:
     percentages = {category: shares.get(category, 0.0) for category in PowerCategory}
     return CategoryDistribution(
@@ -725,16 +730,9 @@ def test_single_report_aggregates_to_itself():
     [agg] = aggregate([document_row(report, "speech")])
     assert agg.genre == "speech"
     assert agg.document_count == 1
-    assert agg.mean_flesch_reading_ease == 50.0
-    assert agg.mean_flesch_kincaid_grade == 51.0
-    assert agg.mean_smog_index == 52.0
-    assert agg.mean_gunning_fog == 53.0
-    assert agg.mean_coleman_liau == 54.0
-    assert agg.mean_ari == 55.0
-    assert agg.mean_dale_chall == 56.0
-    assert agg.mean_distribution[PowerCategory.GREED] == 100.0
-    assert agg.mean_polarity == 0.25
-    assert agg.mean_subjectivity == 0.4
+    assert agg.readability == (50.0, 51.0, 52.0, 53.0, 54.0, 55.0, 56.0)
+    assert shares_of(agg)[PowerCategory.GREED] == 100.0
+    assert agg.sentiment == (0.25, 0.4)
 
 
 def test_polarity_mean_of_two():
@@ -743,8 +741,7 @@ def test_polarity_mean_of_two():
         document_row(make_report(polarity=0.3, subjectivity=0.6), "fiction"),
     ]
     [agg] = aggregate(rows)
-    assert agg.mean_polarity == pytest.approx(0.2)
-    assert agg.mean_subjectivity == pytest.approx(0.4)
+    assert agg.sentiment == pytest.approx((0.2, 0.4))
 
 
 def test_identical_reports_aggregate_exactly():
@@ -758,11 +755,11 @@ def test_identical_reports_aggregate_exactly():
     )
     [agg] = aggregate([document_row(report, "marketing")] * 5)
     assert agg.document_count == 5
-    assert agg.mean_flesch_reading_ease == 33.3
-    assert agg.mean_dale_chall == 39.3
-    assert agg.mean_distribution[PowerCategory.GREED] == 60.0
-    assert agg.mean_distribution[PowerCategory.FEAR] == 40.0
-    assert agg.mean_polarity == -0.125
+    assert agg.readability[0] == 33.3
+    assert agg.readability[-1] == 39.3
+    assert shares_of(agg)[PowerCategory.GREED] == 60.0
+    assert shares_of(agg)[PowerCategory.FEAR] == 40.0
+    assert agg.sentiment[0] == -0.125
 
 
 def test_distribution_is_mean_of_percentages_not_pooled_counts():
@@ -772,8 +769,8 @@ def test_distribution_is_mean_of_percentages_not_pooled_counts():
     a = make_report(dist=make_distribution({PowerCategory.GREED: 100.0}))
     b = make_report(dist=make_distribution({PowerCategory.ENCOURAGEMENT: 100.0}))
     [agg] = aggregate([document_row(a, "speech"), document_row(b, "speech")])
-    assert agg.mean_distribution[PowerCategory.GREED] == pytest.approx(50.0)
-    assert agg.mean_distribution[PowerCategory.ENCOURAGEMENT] == pytest.approx(50.0)
+    assert shares_of(agg)[PowerCategory.GREED] == pytest.approx(50.0)
+    assert shares_of(agg)[PowerCategory.ENCOURAGEMENT] == pytest.approx(50.0)
 
 
 def test_genre_output_order_is_fixed():
@@ -821,11 +818,9 @@ def test_mixed_section_presence_within_genre_is_error(section, what):
 def test_sections_absent_for_all_stay_none():
     rows = [document_row(make_report(), "fiction"), document_row(make_report(), "fiction")]
     [agg] = aggregate(rows)
-    assert agg.mean_flesch_reading_ease is None
-    assert agg.mean_dale_chall is None
-    assert agg.mean_distribution is None
-    assert agg.mean_polarity is None
-    assert agg.mean_subjectivity is None
+    assert agg.readability is None
+    assert agg.shares is None
+    assert agg.sentiment is None
 
 
 def test_readability_means():
@@ -834,13 +829,7 @@ def test_readability_means():
         document_row(make_report(readability=make_readability(20.0)), "speech"),
     ]
     [agg] = aggregate(rows)
-    assert agg.mean_flesch_reading_ease == pytest.approx(15.0)
-    assert agg.mean_flesch_kincaid_grade == pytest.approx(16.0)
-    assert agg.mean_smog_index == pytest.approx(17.0)
-    assert agg.mean_gunning_fog == pytest.approx(18.0)
-    assert agg.mean_coleman_liau == pytest.approx(19.0)
-    assert agg.mean_ari == pytest.approx(20.0)
-    assert agg.mean_dale_chall == pytest.approx(21.0)
+    assert agg.readability == pytest.approx((15.0, 16.0, 17.0, 18.0, 19.0, 20.0, 21.0))
 
 
 def test_mean_of_percentages_sums_to_100():
@@ -861,7 +850,7 @@ def test_mean_of_percentages_sums_to_100():
             genre = rng.choice(["fiction", "speech", "marketing"])
             rows.append(document_row(make_report(dist=make_distribution(shares)), genre))
         for agg in aggregate(rows):
-            assert sum(agg.mean_distribution.values()) == pytest.approx(100.0, abs=0.1)
+            assert sum(shares_of(agg).values()) == pytest.approx(100.0, abs=0.1)
 
 
 def test_aggregate_is_deterministic():
@@ -922,6 +911,26 @@ def test_document_row_holds_each_section_in_its_pinned_order():
     power_only = analyze(doc, AnalysisConfig(sections={"power"}))
     assert document_row(power_only, "speech") == ("speech", None, shares, None)
     assert document_row(make_report(), "fiction") == ("fiction", None, None, None)
+
+
+def test_genre_means_mirror_the_rows_and_the_renderer_keys_every_section():
+    # A section a row gains must reach the means, and the structured
+    # summary must name each of its means: the renderer zips them strictly.
+    assert GenreAggregate._fields[2:] == DocumentRow._fields[1:]
+    doc = build_document(
+        "mirror",
+        "A bargain and a bonanza. We achieve amazing things and achieve them again. "
+        "It is certified and alluring. Abuse brings agony.",
+    )
+    row = document_row(analyze(doc, AnalysisConfig()), "speech")
+    lengths = [len(section) for section in row[1:]]
+    assert lengths == [7, 7, 2]
+    assert [len(keys) for _name, keys in _AGGREGATE_SECTIONS] == lengths
+    assert [name for name, _keys in _AGGREGATE_SECTIONS] == [
+        "readability", "distribution", "sentiment",
+    ]
+    [agg] = aggregate([row])
+    assert agg[2:] == row[1:]
 
 
 _SCORE = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False)

@@ -51,6 +51,16 @@ modifiers and negators but no scored term: two stages whose collections
 of start words are empty, so no term matches and only the date and
 number passes tag entities.
 
+``tests/golden/corpus-sections/`` holds the stdout of
+
+    powertext corpus src/powertext/data/corpus/manifest.csv \
+        --sections readability|power,sentiment [--format structured]
+
+the genre summary alone (``readability.json``, ``readability.md``,
+``power-sentiment.json``, ``power-sentiment.md``): the sections that did
+not run are ``null`` in the structured summary and have no block in the
+markdown one.
+
 A change that means to alter these bytes regenerates them with those
 commands and says which bytes changed and why.
 """
@@ -71,6 +81,7 @@ ONE_SENTENCE = Path(__file__).parent / "fixtures" / "one-sentence.txt"
 NON_ASCII = Path(__file__).parent / "fixtures" / "non-ascii.txt"
 COMMON_WORDS = Path(__file__).parent / "fixtures" / "common-words"
 EMPTY_STAGES = Path(__file__).parent / "fixtures" / "empty-stages"
+CORPUS_SECTIONS = GOLDEN_DIR / "corpus-sections"
 
 
 def _corpus_run(out: Path, *flags: str) -> Path:
@@ -165,3 +176,14 @@ def test_stages_with_empty_collections_match_golden_bytes(capsysbinary):
     assert main(["analyze", str(data_path("corpus/gettysburg.txt")), *flags]) == 0
     expected = (GOLDEN_DIR / "analyze" / "empty-stages.json").read_bytes()
     assert capsysbinary.readouterr().out == expected
+
+
+@pytest.mark.parametrize("sections", ["readability", "power,sentiment"])
+@pytest.mark.parametrize("output_format, extension", [("structured", "json"), ("markdown", "md")])
+def test_corpus_summary_of_some_sections_matches_golden_bytes(
+    capsysbinary, sections, output_format, extension
+):
+    flags = ["--sections", sections, "--format", output_format]
+    assert main(["corpus", str(data_path(CORPUS_MANIFEST_FILE)), *flags]) == 0
+    golden = CORPUS_SECTIONS / f"{sections.replace(',', '-')}.{extension}"
+    assert capsysbinary.readouterr().out == golden.read_bytes()

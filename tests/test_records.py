@@ -68,12 +68,10 @@ RECORDS = [
     ),
     (
         GenreAggregate,
-        ("speech", 2, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, {GREED: 100.0}, 0.25, 0.5),
-        "GenreAggregate(genre='speech', document_count=2, mean_flesch_reading_ease=1.5, "
-        "mean_flesch_kincaid_grade=2.5, mean_smog_index=3.5, mean_gunning_fog=4.5, "
-        "mean_coleman_liau=5.5, mean_ari=6.5, mean_dale_chall=7.5, "
-        "mean_distribution={<PowerCategory.GREED: 'Greed'>: 100.0}, mean_polarity=0.25, "
-        "mean_subjectivity=0.5)",
+        ("speech", 2, (1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5), (100.0, 0.0), (0.25, 0.5)),
+        "GenreAggregate(genre='speech', document_count=2, "
+        "readability=(1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5), shares=(100.0, 0.0), "
+        "sentiment=(0.25, 0.5))",
     ),
     (
         DocumentRow,

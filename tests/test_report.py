@@ -655,7 +655,7 @@ def test_markdown_rounds_a_tiny_negative_polarity_to_zero_as_structured_does():
     assert "- Polarity: 0.00" in text
     assert "-0.00" not in text
     (agg,) = aggregate([document_row(make_agg_report(0.2, 70.0), "speech")])
-    tiny = agg._replace(mean_polarity=-1e-16, mean_subjectivity=-1e-16)
+    tiny = agg._replace(sentiment=(-1e-16, -1e-16))
     corpus_text = render_corpus_markdown([tiny])
     assert "- Mean polarity: 0.00" in corpus_text
     assert "- Mean subjectivity: 0.00" in corpus_text
@@ -947,17 +947,15 @@ def reference_corpus_payload(aggregates):
     genres = []
     for agg in aggregates:
         readability = distribution = sentiment = None
-        if agg.mean_flesch_reading_ease is not None:
+        if agg.readability is not None:
             readability = {
-                key: _ref_r2(getattr(agg, f"mean_{attr}")) for attr, key in REF_INDEX_KEYS
+                key: _ref_r2(mean) for (_attr, key), mean in zip(REF_INDEX_KEYS, agg.readability)
             }
-        if agg.mean_distribution is not None:
-            distribution = {c.value: _ref_r2(agg.mean_distribution[c]) for c in PowerCategory}
-        if agg.mean_polarity is not None:
-            sentiment = {
-                "polarity": _ref_r2(agg.mean_polarity),
-                "subjectivity": _ref_r2(agg.mean_subjectivity),
-            }
+        if agg.shares is not None:
+            distribution = {c.value: _ref_r2(share) for c, share in zip(PowerCategory, agg.shares)}
+        if agg.sentiment is not None:
+            polarity, subjectivity = agg.sentiment
+            sentiment = {"polarity": _ref_r2(polarity), "subjectivity": _ref_r2(subjectivity)}
         genres.append({
             "genre": agg.genre,
             "documents": agg.document_count,
@@ -966,10 +964,10 @@ def reference_corpus_payload(aggregates):
             "sentiment": sentiment,
         })
     plot_rows = [
-        {"genre": agg.genre, "category": c.value, "percentage": _ref_r2(agg.mean_distribution[c])}
+        {"genre": agg.genre, "category": c.value, "percentage": _ref_r2(share)}
         for agg in aggregates
-        if agg.mean_distribution is not None
-        for c in PowerCategory
+        if agg.shares is not None
+        for c, share in zip(PowerCategory, agg.shares)
     ]
     return {"genres": genres, "plot_rows": plot_rows}
 
@@ -1020,20 +1018,12 @@ _reports = st.builds(
 )
 
 
-def _build_aggregate(genre, count, indices, distribution, sentiment):
-    """A GenreAggregate whose readability and sentiment means are all
-    present or all None, as ``aggregate`` makes them."""
-    return GenreAggregate(
-        genre, count, *(indices or (None,) * 7), distribution, *(sentiment or (None, None))
-    )
-
-
 _aggregates = st.builds(
-    _build_aggregate,
+    GenreAggregate,
     _texts,
     _ints,
-    st.none() | st.tuples(*[_floats] * 7),
-    st.none() | _per_category(_floats),
+    st.none() | st.tuples(*[_floats] * len(REF_INDEX_KEYS)),
+    st.none() | st.tuples(*[_floats] * len(PowerCategory)),
     st.none() | st.tuples(_floats, _floats),
 )
 
